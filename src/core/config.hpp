@@ -56,7 +56,9 @@ struct Config {
   /// digest per block). Strict decompression then pins corruption to the
   /// failing block, and decompressResilient can quarantine damaged blocks
   /// while recovering every other block bit-exactly. Costs 2 bytes per
-  /// block plus one bandwidth pass over the compressed bytes.
+  /// block; the compress kernel takes the digests in-kernel, and the
+  /// strict decoder verifies them in one bandwidth pass over the
+  /// compressed bytes.
   bool blockChecksums = false;
 
   /// Detect-and-retry budget for simulated soft errors (gpusim FaultPlan):

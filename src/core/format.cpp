@@ -27,8 +27,7 @@ u64 get64(const std::byte* p) {
 }  // namespace
 
 u16 blockDigest(std::byte offsetByte, ConstByteSpan payload) {
-  const u32 seeded = crc32(ConstByteSpan(&offsetByte, 1));
-  return static_cast<u16>(crc32(payload, seeded) & 0xFFFFu);
+  return blockDigestV3(ConstByteSpan(&offsetByte, 1), payload);
 }
 
 u16 blockDigestV3(ConstByteSpan descriptor, ConstByteSpan payload) {

@@ -38,10 +38,10 @@ inline constexpr u32 kFormatVersionV3 = 3;
 /// digest even when the payload bytes survive.
 u16 blockDigest(std::byte offsetByte, ConstByteSpan payload);
 
-/// Version-3 digest: chained over the block's descriptor byte and its
-/// payload (including any entropy size prefix), so pipeline-id or framing
-/// corruption fails the block's own digest exactly like offset-byte
-/// corruption does in version 2.
+/// Version-3 digest: the same CRC chained over the block's descriptor
+/// byte and its payload (including any entropy size prefix), so
+/// pipeline-id or framing corruption fails the block's own digest exactly
+/// like offset-byte corruption does in version 2.
 u16 blockDigestV3(ConstByteSpan descriptor, ConstByteSpan payload);
 
 struct StreamHeader {

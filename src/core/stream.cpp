@@ -60,7 +60,11 @@ class TileSync {
 // profile assembly all live in stream_internal.hpp now.
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
+using detail::footerDigestAt;
+using detail::kDigestBytes;
+using detail::kernelBlockDigest;
 using detail::makeProfile;
+using detail::putFooterDigest;
 using detail::residualsToQuants;
 using detail::secondOrderDiff;
 
@@ -101,6 +105,9 @@ struct FieldJob {
   /// (Config::faultRetries > 0); the host re-derives them from the staging
   /// memory after the launch to detect injected write faults.
   std::span<u32> tileWriteCrc;
+  /// Version 2: each block's footer digest, taken by the kernel as it
+  /// writes the block; finishField copies them into the footer.
+  std::span<u16> blockDigests;
   std::optional<TileSync> sync;
   gpusim::KernelDesc desc;
 };
@@ -124,9 +131,8 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   if (absEb <= 0.0) {
     const f64 range = metrics::valueRange(data);
     absEb = Quantizer::absFromRel(config.relErrorBound, range);
-    job.rangeSeconds = static_cast<f64>(job.originalBytes) /
-                           (timing.spec().memBandwidthGBps * 1e9) +
-                       timing.launchSeconds();
+    job.rangeSeconds =
+        gpusim::modelledPassSeconds(job.originalBytes, timing.spec(), 1.0);
   }
   const Quantizer quantizer(absEb, config.roundingMode);
 
@@ -157,6 +163,9 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   if (config.faultRetries > 0) {
     job.tileWriteCrc = arena.allocSpan<u32>(job.tiles);
   }
+  if (job.header.hasBlockChecksums()) {
+    job.blockDigests = arena.allocSpan<u16>(numBlocks);
+  }
   job.sync.emplace(config.syncAlgorithm, job.tiles, arena);
 
   const BlockCodec codec(L);
@@ -168,6 +177,7 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   TileSync* sync = &*job.sync;
   const std::span<u64> tileInclusive = job.tileInclusive;
   const std::span<u32> tileWriteCrc = job.tileWriteCrc;
+  const std::span<u16> blockDigests = job.blockDigests;
   const std::span<i32> scratchQuants = scratch.quants;
   const std::span<BlockPlan> scratchPlans = scratch.plans;
   const usize quantsPerWorker = scratch.quantsPerWorker;
@@ -223,15 +233,22 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
         sync->processTile(ctx.blockIdx, aggregate, ctx.sync, ctx.mem);
     tileInclusive[ctx.blockIdx] = base + aggregate;
 
-    // Pass 2 — encode payloads and concatenate (step 4). Under fault
-    // verification the tile also digests the bytes it just wrote (reading
-    // back its own stores, before any soft error can land), giving the
-    // host a ground truth to re-derive from memory after the launch.
+    // Pass 2 — encode payloads and concatenate (step 4), taking each
+    // block's version-2 footer digest while its bytes are in hand. Under
+    // fault verification the tile also digests the bytes it just wrote
+    // (reading back its own stores, before any soft error can land),
+    // giving the host a ground truth to re-derive from memory after the
+    // launch.
     u64 cursor = base;
     u32 writeCrc = 0;
     for (u32 b = 0; b < blocksHere; ++b) {
       std::span<const i32> r(quants.data() + static_cast<usize>(b) * L, L);
       codec.encodeResiduals(r, plans[b], payloadOut + cursor);
+      if (!blockDigests.empty()) {
+        blockDigests[firstBlock + b] = kernelBlockDigest(
+            ctx.mem, ConstByteSpan(offsetBytes + firstBlock + b, 1),
+            ConstByteSpan(payloadOut + cursor, plans[b].payloadBytes));
+      }
       if (!tileWriteCrc.empty()) {
         writeCrc = crc32(
             ConstByteSpan(offsetBytes + firstBlock + b, 1), writeCrc);
@@ -243,6 +260,9 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
     }
     if (!tileWriteCrc.empty()) tileWriteCrc[ctx.blockIdx] = writeCrc;
     access.write(ctx.mem, aggregate, 4);
+    if (!blockDigests.empty()) {
+      access.write(ctx.mem, blocksHere * kDigestBytes, kDigestBytes);
+    }
     // Pass-2 encoding cost scales with the bytes actually packed: zero
     // blocks are skipped outright and well-compressed blocks pack fewer
     // planes, which is why sparse/smooth data compresses *faster* and why
@@ -272,27 +292,14 @@ Compressed finishField(const Config& config,
       job.header.payloadBegin() + static_cast<usize>(totalPayload);
   f64 checksumSeconds = 0.0;
 
-  // Version 2: per-block CRC footer after the payload region (one extra
-  // bandwidth pass over the compressed bytes).
+  // Version 2: copy the kernel's per-block digests into the footer after
+  // the payload region.
   if (job.header.hasBlockChecksums()) {
-    const std::byte* offsets = job.staging + StreamHeader::offsetsBegin();
-    const std::byte* payload = job.staging + job.header.payloadBegin();
     std::byte* footer = job.staging + finalBytes;
-    const u64 numBlocks = job.header.numBlocks();
-    const PayloadSizeTable psize(job.header.blockSize);
-    u64 cursor = 0;
-    for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize size = psize[offsets[blk]];
-      const u16 digest =
-          blockDigest(offsets[blk], ConstByteSpan(payload + cursor, size));
-      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
-      cursor += size;
+    for (u64 blk = 0; blk < job.blockDigests.size(); ++blk) {
+      putFooterDigest(footer, blk, job.blockDigests[blk]);
     }
     finalBytes += job.header.footerBytes();
-    checksumSeconds += static_cast<f64>(finalBytes) /
-                           (timing.spec().memBandwidthGBps * 1e9) +
-                       timing.launchSeconds();
   }
 
   // Optional integrity stamp: CRC-32 over offsets + payload (+ footer).
@@ -302,9 +309,8 @@ Compressed finishField(const Config& config,
                       finalBytes - StreamHeader::offsetsBegin()));
     if (job.header.checksum == 0) job.header.checksum = 1;  // 0 = "absent"
     job.header.serialize(job.staging);
-    checksumSeconds += static_cast<f64>(finalBytes) /
-                           (timing.spec().memBandwidthGBps * 1e9) +
-                       timing.launchSeconds();
+    checksumSeconds +=
+        gpusim::modelledPassSeconds(finalBytes, timing.spec(), 1.0);
   }
 
   out.stream.assign(job.staging, job.staging + finalBytes);
@@ -387,9 +393,7 @@ u64 validateStrictLayout(const char* api, const StreamHeader& header,
     }
     if (header.hasBlockChecksums() && blk >= digestFirst &&
         blk < digestFirst + digestCount) {
-      const u16 stored =
-          static_cast<u16>(std::to_integer<u16>(footer[2 * blk]) |
-                           (std::to_integer<u16>(footer[2 * blk + 1]) << 8));
+      const u16 stored = footerDigestAt(footer, blk);
       const u16 actual =
           blockDigest(offsetByte, ConstByteSpan(payload + cursor, size));
       if (stored != actual) {
@@ -646,9 +650,8 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
     if (crc == 0) crc = 1;
     require(crc == header.checksum,
             "decompress: checksum mismatch — the stream is corrupted");
-    checksumSeconds = static_cast<f64>(stream.size()) /
-                          (timing_.spec().memBandwidthGBps * 1e9) +
-                      timing_.launchSeconds();
+    checksumSeconds =
+        gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
   }
 
   // Layout validation before any payload read: the prefix-summed payload
@@ -656,9 +659,8 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   // must match (one extra bandwidth pass over the compressed bytes).
   validateStrictLayout("decompress", header, stream, 0, header.numBlocks());
   if (header.hasBlockChecksums()) {
-    checksumSeconds += static_cast<f64>(stream.size()) /
-                           (timing_.spec().memBandwidthGBps * 1e9) +
-                       timing_.launchSeconds();
+    checksumSeconds +=
+        gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
   }
 
   const u32 L = header.blockSize;
@@ -949,16 +951,14 @@ std::vector<DecompressedRaw> CompressorStream::decompressBatchRaw(
       require(crc == job.header.checksum,
               "decompressBatch: checksum mismatch — the stream is "
               "corrupted");
-      job.checksumSeconds += static_cast<f64>(stream.size()) /
-                                 (timing_.spec().memBandwidthGBps * 1e9) +
-                             timing_.launchSeconds();
+      job.checksumSeconds +=
+          gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
     }
     validateStrictLayout("decompressBatch", job.header, stream, 0,
                          job.header.numBlocks());
     if (job.header.hasBlockChecksums()) {
-      job.checksumSeconds += static_cast<f64>(stream.size()) /
-                                 (timing_.spec().memBandwidthGBps * 1e9) +
-                             timing_.launchSeconds();
+      job.checksumSeconds +=
+          gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
     }
 
     const u64 n = job.header.numElements;
@@ -1224,10 +1224,9 @@ Compressed CompressorStream::replaceBlocks(ConstByteSpan stream,
     for (u64 blk = 0; blk < numBlocks; ++blk) {
       const usize size = payloadSize(
           BlockHeader::unpack(std::to_integer<u8>(outOffsets[blk])), L);
-      const u16 digest = blockDigest(
-          outOffsets[blk], ConstByteSpan(outPayload + cursor, size));
-      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
+      putFooterDigest(footer.data(), blk,
+                      blockDigest(outOffsets[blk],
+                                  ConstByteSpan(outPayload + cursor, size)));
       cursor += size;
     }
     out.stream.insert(out.stream.end(), footer.begin(), footer.end());
@@ -1296,9 +1295,8 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
         stream.size() - StreamHeader::offsetsBegin()));
     if (crc == 0) crc = 1;
     rep.streamChecksumOk = (crc == header.checksum);
-    checksumSeconds = static_cast<f64>(stream.size()) /
-                          (timing_.spec().memBandwidthGBps * 1e9) +
-                      timing_.launchSeconds();
+    checksumSeconds =
+        gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
   }
 
   const u32 L = header.blockSize;
@@ -1332,9 +1330,7 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
     if (cursor > payloadAvail || size > payloadAvail - cursor) {
       rep.verdicts[blk] = BlockVerdict::Truncated;
     } else if (header.hasBlockChecksums()) {
-      const u16 stored =
-          static_cast<u16>(std::to_integer<u16>(footer[2 * blk]) |
-                           (std::to_integer<u16>(footer[2 * blk + 1]) << 8));
+      const u16 stored = footerDigestAt(footer, blk);
       const u16 actual =
           blockDigest(offsets[blk], ConstByteSpan(payload + cursor, size));
       if (stored != actual) {

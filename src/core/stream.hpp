@@ -196,8 +196,9 @@ class CompressorStream {
   /// Decompresses several independent streams through one fused launch
   /// (mirrors compressBatch: one latch, one task-submission pass).
   /// Element i's bytes are identical to decompress(streams[i]) output.
-  /// Strict semantics: a corrupt stream throws before any kernel runs.
-  /// With Config::faultRetries > 0 the per-stream write-digest relaunch
+  /// Strict semantics: a corrupt stream throws (version 1/2 before any
+  /// kernel runs; a version-3 block digest mismatch after its decode
+  /// launch, like decompress()). With Config::faultRetries > 0 the per-stream write-digest relaunch
   /// cannot run inside a fused launch, so the call degrades to serial
   /// decompress calls (same results, one launch per stream).
   std::vector<DecompressedRaw> decompressBatchRaw(

@@ -90,6 +90,36 @@ void dequantizeSpan(const Quantizer& quantizer, std::span<const i32> q,
   }
 }
 
+/// Ops the model charges per byte a kernel digests for the per-block CRC
+/// footer (table-driven CRC: load, xor, table lookup, shift per byte; see
+/// docs/MODEL.md, "Format-v3 pipeline stages").
+inline constexpr u64 kDigestOpsPerByte = 4;
+
+/// Footer bytes per block (the 16-bit digest).
+inline constexpr u64 kDigestBytes = 2;
+
+/// Per-block footer digest taken inside a kernel that already holds the
+/// block's descriptor (v3) or offset byte (v2) and payload: charges the
+/// digested bytes' ops to `mem` and returns blockDigestV3(). The footer
+/// slot's DRAM traffic is charged by the caller with its other traffic.
+inline u16 kernelBlockDigest(gpusim::MemCounters& mem,
+                             ConstByteSpan descriptor, ConstByteSpan payload) {
+  mem.noteOps((descriptor.size() + payload.size()) * kDigestOpsPerByte);
+  return blockDigestV3(descriptor, payload);
+}
+
+/// Little-endian footer slot of block `blk`.
+inline void putFooterDigest(std::byte* footer, u64 blk, u16 digest) {
+  footer[kDigestBytes * blk] = static_cast<std::byte>(digest & 0xFFu);
+  footer[kDigestBytes * blk + 1] = static_cast<std::byte>(digest >> 8);
+}
+
+inline u16 footerDigestAt(const std::byte* footer, u64 blk) {
+  return static_cast<u16>(
+      std::to_integer<u16>(footer[kDigestBytes * blk]) |
+      (std::to_integer<u16>(footer[kDigestBytes * blk + 1]) << 8));
+}
+
 inline KernelProfile makeProfile(const gpusim::LaunchResult& launch,
                                  const gpusim::TimingModel& timing,
                                  u64 originalBytes, f64 extraSeconds = 0.0) {

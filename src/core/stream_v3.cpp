@@ -10,13 +10,17 @@
 //                 per-block Huffman sizes, selectPipelines(), prefix sum
 //                 of the chosen sizes into exact payload positions
 //   "v3_encode"   encode each block with its selected pipeline at its
-//                 precomputed offset, write the 1-byte descriptors
+//                 precomputed offset, write the 1-byte descriptors, and
+//                 digest each block into its slot of the per-block CRC
+//                 footer (whose position the prefix sum also fixes)
 //
 // Because block positions are prefix-summed on the host, neither kernel
 // needs inter-tile synchronization, and decompression positions blocks
 // from the descriptor array alone. Version-3 streams always carry the
-// per-block CRC footer. The detect-and-retry machinery of the legacy path
-// (Config::faultRetries) does not apply to the v3 kernels.
+// per-block CRC footer; the decode kernels check each block's digest
+// before decoding it, so no v3 call pays a separate footer pass. The
+// detect-and-retry machinery of the legacy path (Config::faultRetries)
+// does not apply to the v3 kernels.
 #include <algorithm>
 #include <cstring>
 #include <optional>
@@ -36,7 +40,11 @@ namespace {
 
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
+using detail::footerDigestAt;
+using detail::kDigestBytes;
+using detail::kernelBlockDigest;
 using detail::makeProfile;
+using detail::putFooterDigest;
 using detail::residualsToQuants;
 
 void put32(std::byte* p, u32 v) {
@@ -58,26 +66,40 @@ void put16(std::byte* p, u16 v) {
   p[1] = static_cast<std::byte>(v >> 8);
 }
 
-/// One device-bandwidth pass over `bytes` plus a launch, the same model
-/// the legacy path charges for checksum/footer passes.
-f64 bandwidthPassSeconds(const gpusim::TimingModel& timing, u64 bytes) {
-  return static_cast<f64>(bytes) / (timing.spec().memBandwidthGBps * 1e9) +
-         timing.launchSeconds();
+/// Sentinel of a decode tile's failing-block slot: every digest matched.
+constexpr u64 kNoBadBlock = ~u64{0};
+
+[[noreturn]] void throwDigestMismatch(const char* api, u64 blk,
+                                      u64 byteOffset) {
+  throw Error(std::string(api) + ": per-block checksum mismatch at block " +
+              std::to_string(blk) + " (stream byte offset " +
+              std::to_string(byteOffset) + ") — the stream is corrupted");
 }
 
-u16 footerDigestAt(const std::byte* footer, u64 blk) {
-  return static_cast<u16>(std::to_integer<u16>(footer[2 * blk]) |
-                          (std::to_integer<u16>(footer[2 * blk + 1]) << 8));
+/// After a decode launch: throws the digest error for the lowest failing
+/// block any tile recorded. Tiles are scanned in index order and each slot
+/// holds its tile's lowest failing block, so the message is the same at
+/// every worker count and tile completion order.
+void throwFirstDigestMismatch(const char* api, std::span<const u64> tileBad,
+                              std::span<const u64> blockStart,
+                              usize payloadBegin) {
+  for (const u64 blk : tileBad) {
+    if (blk != kNoBadBlock) {
+      throwDigestMismatch(api, blk, payloadBegin + blockStart[blk]);
+    }
+  }
 }
 
 /// Strict validation of a v3 stream's block layout before any payload
-/// decode: every descriptor must name a known pipeline, the prefix-summed
-/// payload positions must stay inside the payload region and land exactly
-/// on the footer, and the per-block digests covering [digestFirst,
-/// digestFirst + digestCount) must match. Fills `blockStart` (exclusive
-/// prefix positions) when non-empty and returns the total payload size.
+/// decode: every descriptor must name a known pipeline, and the
+/// prefix-summed payload positions must stay inside the payload region and
+/// land exactly on the footer. With `checkDigests` every block's digest
+/// must match too (replaceBlocks, whose splice has no decode kernel to
+/// check them; the decode kernels check their own blocks). Fills
+/// `blockStart` (exclusive prefix positions) when non-empty and returns
+/// the total payload size.
 u64 validateV3Layout(const char* api, const StreamHeader& header,
-                     ConstByteSpan stream, u64 digestFirst, u64 digestCount,
+                     ConstByteSpan stream, bool checkDigests,
                      std::span<u64> blockStart = {}) {
   const u64 numBlocks = header.numBlocks();
   const usize payloadBegin = header.payloadBegin();
@@ -109,17 +131,11 @@ u64 validateV3Layout(const char* api, const StreamHeader& header,
                   std::to_string(size) + " bytes) — the stream is corrupt "
                   "or truncated");
     }
-    if (blk >= digestFirst && blk < digestFirst + digestCount) {
-      const u16 actual =
-          blockDigestV3(ConstByteSpan(descBytes, kV3DescBytes),
-                        ConstByteSpan(payload + cursor, size));
-      if (footerDigestAt(footer, blk) != actual) {
-        throw Error(std::string(api) +
-                    ": per-block checksum mismatch at block " +
-                    std::to_string(blk) + " (stream byte offset " +
-                    std::to_string(payloadBegin + cursor) +
-                    ") — the stream is corrupted");
-      }
+    if (checkDigests &&
+        footerDigestAt(footer, blk) !=
+            blockDigestV3(ConstByteSpan(descBytes, kV3DescBytes),
+                          ConstByteSpan(payload + cursor, size))) {
+      throwDigestMismatch(api, blk, payloadBegin + cursor);
     }
     cursor += size;
   }
@@ -208,12 +224,13 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   const u64 n = data.size();
   const EncodingMode mode = config_.mode;
 
-  f64 extraSeconds = 0.0;
+  f64 passSeconds = 0.0;
   f64 absEb = config_.absErrorBound;
   if (absEb <= 0.0) {
     const f64 range = metrics::valueRange(data);
     absEb = Quantizer::absFromRel(config_.relErrorBound, range);
-    extraSeconds += bandwidthPassSeconds(timing_, n * sizeof(T));
+    passSeconds += gpusim::modelledPassSeconds(n * sizeof(T), timing_.spec(),
+                                               1.0);
   }
   const Quantizer quantizer(absEb, config_.roundingMode);
 
@@ -345,6 +362,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   std::byte* descs = staging + StreamHeader::offsetsBegin();
   std::byte* dict = staging + header.dictBegin();
   std::byte* payload = staging + payloadBegin;
+  std::byte* footer = payload + cursor;
 
   put32(dict, static_cast<u32>(header.dictBytes - 8));
   const ConstByteSpan tableSpan(dict + 8, header.dictBytes - 8);
@@ -352,7 +370,8 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   put32(dict + 4, crc32(tableSpan));
 
   // Phase 2 — encode every block with its selected pipeline at its exact
-  // precomputed offset and write the 1-byte descriptors. No inter-tile
+  // precomputed offset, write the 1-byte descriptors, and digest each block
+  // into its footer slot while its bytes are still in hand. No inter-tile
   // synchronization: positions came from the host prefix sum.
   const std::span<const PipelineId> choice = sel.choice;
   gpusim::KernelDesc encode;
@@ -407,30 +426,24 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
                   candidates[blk].bytes[static_cast<u8>(choice[blk])],
               "compressV3: encoded size diverged from the analysis pass");
       desc.pack(descs + blk * kV3DescBytes);
+      putFooterDigest(footer, blk,
+                      kernelBlockDigest(
+                          ctx.mem,
+                          ConstByteSpan(descs + blk * kV3DescBytes,
+                                        kV3DescBytes),
+                          ConstByteSpan(outp, written)));
       bytesWritten += written;
     }
     access.read(ctx.mem, (lastBlock - firstBlock) * L * 4, 4);
     access.write(ctx.mem, bytesWritten +
                               (lastBlock - firstBlock) * kV3DescBytes, 4);
+    access.write(ctx.mem, (lastBlock - firstBlock) * kDigestBytes,
+                 kDigestBytes);
     ctx.mem.noteOps(bytesWritten * 8);
     ctx.mem.noteL1((lastBlock - firstBlock) * L * 4);
   };
   const auto encodeLaunch = launcher_.launch(
       encode.gridSize, encode.body, encode.blocksPerTask, {}, encode.name);
-
-  // Per-block CRC footer (always present in v3) — one bandwidth pass over
-  // the compressed bytes, same model as the legacy v2 footer.
-  std::byte* footer = payload + cursor;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    const usize size =
-        candidates[blk].bytes[static_cast<u8>(sel.choice[blk])];
-    const u16 digest = blockDigestV3(
-        ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
-        ConstByteSpan(payload + blockStart[blk], size));
-    footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-    footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
-  }
-  extraSeconds += bandwidthPassSeconds(timing_, finalBytes);
 
   if (config_.checksum) {
     header.checksum = crc32(ConstByteSpan(
@@ -438,7 +451,8 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
         finalBytes - StreamHeader::offsetsBegin()));
     if (header.checksum == 0) header.checksum = 1;  // 0 = "absent"
     header.serialize(staging);
-    extraSeconds += bandwidthPassSeconds(timing_, finalBytes);
+    passSeconds += gpusim::modelledPassSeconds(finalBytes, timing_.spec(),
+                                               1.0);
   }
 
   out.stream.assign(staging, staging + finalBytes);
@@ -447,7 +461,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   const f64 encodeSeconds =
       timing_.kernel(encodeLaunch.mem, encodeLaunch.sync).totalSeconds;
   out.profile = makeProfile(analyzeLaunch, timing_, out.originalBytes,
-                            extraSeconds + encodeSeconds);
+                            encodeSeconds + passSeconds);
   out.profile.wallSeconds += encodeLaunch.wallSeconds;
   noteCompressed(out);
   return out;
@@ -466,7 +480,8 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
     if (crc == 0) crc = 1;
     require(crc == header.checksum,
             "decompress: checksum mismatch — the stream is corrupted");
-    checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
+    checksumSeconds += gpusim::modelledPassSeconds(stream.size(),
+                                                   timing_.spec(), 1.0);
   }
 
   const u32 L = header.blockSize;
@@ -483,10 +498,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   }
 
   const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  validateV3Layout("decompress", header, stream, 0, numBlocks, blockStart);
-  // Footer verification is one extra bandwidth pass over the compressed
-  // bytes (v3 always carries the footer).
-  checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
+  validateV3Layout("decompress", header, stream, false, blockStart);
 
   const HuffTable table = parseDictV3("decompress", header, stream);
   std::optional<HuffDecoder> decoder;
@@ -496,6 +508,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   const std::byte* payload = stream.data() + header.payloadBegin();
   const usize payloadAvail =
       stream.size() - header.payloadBegin() - header.footerBytes();
+  const std::byte* footer = payload + payloadAvail;
   const Quantizer quantizer(header.absErrorBound);
   const BlockCodec codec(L);
   const PayloadSizeTable psize(L);
@@ -505,6 +518,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
 
   const u32 tiles =
       static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
+  const std::span<u64> tileBad = arena_.allocSpan<u64>(tiles);
   const std::function<void(gpusim::BlockCtx&)> body =
       [&](gpusim::BlockCtx& ctx) {
     const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
@@ -513,11 +527,21 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
     u64 decodedElems = 0;
     u64 payloadBytesRead = 0;
     u64 zeroBytes = 0;
+    u64 firstBad = kNoBadBlock;
     for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
       const V3BlockDesc desc =
           V3BlockDesc::unpack(descs + blk * kV3DescBytes);
       const usize size = desc.payloadBytes(
           psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
+      const ConstByteSpan blockBytes(payload + blockStart[blk], size);
+      // A block that fails its digest is skipped, never decoded; the host
+      // raises the error after the launch.
+      if (kernelBlockDigest(
+              ctx.mem, ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
+              blockBytes) != footerDigestAt(footer, blk)) {
+        firstBad = std::min(firstBad, blk);
+        continue;
+      }
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
       if (size == 0 && desc.pipeline != PipelineId::Huffman &&
@@ -528,22 +552,26 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
         continue;
       }
       const std::span<i32> q(quantsArr, L);
-      decodeBlockV3(desc, ConstByteSpan(payload + blockStart[blk], size),
-                    codec, decoderPtr, q);
+      decodeBlockV3(desc, blockBytes, codec, decoderPtr, q);
       dequantizeSpan(quantizer,
                      std::span<const i32>(quantsArr, eLast - eFirst),
                      out.data.data() + eFirst);
       decodedElems += eLast - eFirst;
       payloadBytesRead += size;
     }
+    tileBad[ctx.blockIdx] = firstBad;
     access.read(ctx.mem, (lastBlock - firstBlock) * kV3DescBytes, 4);
     access.read(ctx.mem, payloadBytesRead, 4);
+    access.read(ctx.mem, (lastBlock - firstBlock) * kDigestBytes,
+                kDigestBytes);
     access.write(ctx.mem, decodedElems * sizeof(T), sizeof(T));
     ctx.mem.noteMemset(zeroBytes);
     ctx.mem.noteOps(decodedElems * 8);
     ctx.mem.noteL1(decodedElems * 8);
   };
   const auto launch = launcher_.launch(tiles, body, 0, {}, "v3_decompress");
+  throwFirstDigestMismatch("decompress", tileBad, blockStart,
+                           header.payloadBegin());
 
   out.profile =
       makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
@@ -559,8 +587,7 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
   // Caller validated precision and the block range.
   const u64 numBlocks = header.numBlocks();
   const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  validateV3Layout("decompressBlocks", header, stream, firstBlock,
-                   blockCount, blockStart);
+  validateV3Layout("decompressBlocks", header, stream, false, blockStart);
   const HuffTable table = parseDictV3("decompressBlocks", header, stream);
   std::optional<HuffDecoder> decoder;
   if (!table.empty()) decoder.emplace(table);
@@ -572,6 +599,7 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
   const std::byte* payload = stream.data() + header.payloadBegin();
   const usize payloadAvail =
       stream.size() - header.payloadBegin() - header.footerBytes();
+  const std::byte* footer = payload + payloadAvail;
   const Quantizer quantizer(header.absErrorBound);
   const BlockCodec codec(L);
   const PayloadSizeTable psize(L);
@@ -586,29 +614,39 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
 
   // Positions come from the host descriptor walk, so only tiles covering
   // the requested range launch work; the descriptor array read replaces
-  // the legacy offset-byte scan.
+  // the legacy offset-byte scan. Only the requested blocks are digested.
   const u32 tiles =
       static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
+  const std::span<u64> tileBad = arena_.allocSpan<u64>(tiles);
   const std::function<void(gpusim::BlockCtx&)> body =
       [&](gpusim::BlockCtx& ctx) {
     const u64 tFirst = static_cast<u64>(ctx.blockIdx) * bpt;
     const u64 tLast = std::min(numBlocks, tFirst + bpt);
+    tileBad[ctx.blockIdx] = kNoBadBlock;
     access.read(ctx.mem, (tLast - tFirst) * kV3DescBytes, 4);
     ctx.mem.noteOps((tLast - tFirst) * 2);
     if (tLast <= firstBlock || tFirst >= firstBlock + blockCount) return;
 
     i32 quantsArr[256];
-    for (u64 blk = std::max(tFirst, firstBlock);
-         blk < std::min(tLast, firstBlock + blockCount); ++blk) {
+    const u64 rFirst = std::max(tFirst, firstBlock);
+    const u64 rLast = std::min(tLast, firstBlock + blockCount);
+    access.read(ctx.mem, (rLast - rFirst) * kDigestBytes, kDigestBytes);
+    for (u64 blk = rFirst; blk < rLast; ++blk) {
       const V3BlockDesc desc =
           V3BlockDesc::unpack(descs + blk * kV3DescBytes);
       const usize size = desc.payloadBytes(
           psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
+      const ConstByteSpan blockBytes(payload + blockStart[blk], size);
+      if (kernelBlockDigest(
+              ctx.mem, ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
+              blockBytes) != footerDigestAt(footer, blk)) {
+        tileBad[ctx.blockIdx] = std::min(tileBad[ctx.blockIdx], blk);
+        continue;
+      }
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
       const std::span<i32> q(quantsArr, L);
-      decodeBlockV3(desc, ConstByteSpan(payload + blockStart[blk], size),
-                    codec, decoderPtr, q);
+      decodeBlockV3(desc, blockBytes, codec, decoderPtr, q);
       dequantizeSpan(quantizer,
                      std::span<const i32>(quantsArr, eLast - eFirst),
                      out.values.data() + (eFirst - out.firstElement));
@@ -619,6 +657,8 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
   };
   const auto launch =
       launcher_.launch(tiles, body, 0, {}, "random_access_decode");
+  throwFirstDigestMismatch("decompressBlocks", tileBad, blockStart,
+                           header.payloadBegin());
 
   out.profile = makeProfile(launch, timing_, header.originalBytes());
   noteDecompressed(stream.size(), out.values.size() * sizeof(T),
@@ -644,8 +684,8 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
           "a multiple of the block size or end at the stream tail)");
 
   const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  const u64 totalPayload = validateV3Layout("replaceBlocks", header, stream,
-                                            0, numBlocks, blockStart);
+  const u64 totalPayload =
+      validateV3Layout("replaceBlocks", header, stream, true, blockStart);
   parseDictV3("replaceBlocks", header, stream);  // integrity only
 
   const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
@@ -741,8 +781,7 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
       const u16 digest = blockDigestV3(
           ConstByteSpan(outDescs + blk * kV3DescBytes, kV3DescBytes),
           ConstByteSpan(outPayload + cursor, size));
-      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
+      putFooterDigest(footer.data(), blk, digest);
       cursor += size;
     }
     out.stream.insert(out.stream.end(), footer.begin(), footer.end());
@@ -782,7 +821,8 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
         stream.size() - StreamHeader::offsetsBegin()));
     if (crc == 0) crc = 1;
     rep.streamChecksumOk = (crc == header.checksum);
-    checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
+    checksumSeconds += gpusim::modelledPassSeconds(stream.size(),
+                                                   timing_.spec(), 1.0);
   }
 
   const u32 L = header.blockSize;

@@ -3,8 +3,15 @@
 // model changes, either these tests or the document must change with it.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/stream.hpp"
+#include "datagen/fields.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/timing.hpp"
+#include "telemetry/trace.hpp"
 
 namespace cuszp2::gpusim {
 namespace {
@@ -106,6 +113,122 @@ TEST(ModelTraceability, MemThroughputIncludesHierarchyBytes) {
   const auto t = model.kernel(mem, sync);
   EXPECT_NEAR(t.memThroughputGBps,
               4'000'000 / t.totalSeconds / 1e9, 1e-6);
+}
+
+// ---- composition: a call's modelled time is its kernels plus its passes --
+
+/// One traced call's launches: per kernel name, the launch count, the
+/// summed modelled seconds, and the last launch's bytes written.
+struct TracedKernels {
+  std::map<std::string, int> launches;
+  std::map<std::string, f64> seconds;
+  std::map<std::string, f64> bytesWritten;
+};
+
+TracedKernels tracedKernels(const telemetry::TraceSession& trace) {
+  TracedKernels k;
+  for (const telemetry::TraceEvent& e : trace.events()) {
+    if (e.phase != 'X') continue;
+    k.launches[e.name] += 1;
+    for (const auto& a : e.args) {
+      if (a.key == "modelled_seconds") k.seconds[e.name] += a.number;
+      if (a.key == "bytes_written") k.bytesWritten[e.name] = a.number;
+    }
+  }
+  return k;
+}
+
+/// MODEL.md's kDigestOpsPerByte: ops charged per byte the in-kernel
+/// per-block digest covers (descriptor + payload).
+constexpr u64 kDigestOpsPerByte = 4;
+
+/// A v3 compress is exactly its two kernels, plus the REL range pass only
+/// under a REL bound and the stream CRC-32 pass only with `checksum`: the
+/// per-block footer is taken inside v3_encode, so no hidden integrity pass
+/// may appear in the end-to-end time.
+TEST(ModelTraceability, V3CompressIsTwoKernelsPlusRequestedPasses) {
+  const std::vector<f32> field = datagen::generateF32("cesm_atm", 0, 1 << 14);
+  const u64 inputBytes = field.size() * sizeof(f32);
+  for (const bool rel : {false, true}) {
+    for (const bool checksum : {false, true}) {
+      core::Config cfg;
+      cfg.pipeline = core::PipelineMode::Auto;
+      cfg.absErrorBound = rel ? 0.0 : 1e-3;
+      cfg.checksum = checksum;
+      telemetry::TraceSession trace;
+      core::Compressed c;
+      {
+        telemetry::ScopedTrace scoped(trace);
+        core::CompressorStream codec(cfg);
+        c = codec.compress<f32>(std::span<const f32>(field));
+      }
+      TracedKernels k = tracedKernels(trace);
+      ASSERT_EQ(k.launches.size(), 2u) << rel << checksum;
+      ASSERT_EQ(k.launches["v3_analyze"], 1);
+      ASSERT_EQ(k.launches["v3_encode"], 1);
+
+      const DeviceSpec spec = a100_40gb();
+      const f64 passes =
+          (rel ? modelledPassSeconds(inputBytes, spec, 1.0) : 0.0) +
+          (checksum ? modelledPassSeconds(c.stream.size(), spec, 1.0) : 0.0);
+      EXPECT_DOUBLE_EQ(c.profile.endToEndSeconds,
+                       k.seconds["v3_analyze"] +
+                           (k.seconds["v3_encode"] + passes))
+          << "rel " << rel << " checksum " << checksum;
+
+      // The encode kernel writes the payload, one descriptor byte and the
+      // 2 footer bytes per block.
+      const core::StreamHeader header = core::StreamHeader::parse(c.stream);
+      const u64 payloadBytes =
+          c.stream.size() - header.payloadBegin() - header.footerBytes();
+      EXPECT_EQ(k.bytesWritten["v3_encode"],
+                static_cast<f64>(payloadBytes + 3 * header.numBlocks()));
+    }
+  }
+}
+
+/// A v3 full decode is exactly its one kernel, plus the stream CRC-32 pass
+/// only when the stream carries one; the per-block digests are checked in
+/// the kernel, whose counters carry their footer reads and ops.
+TEST(ModelTraceability, V3DecodeIsOneKernelPlusStreamCrcPass) {
+  const std::vector<f32> field = datagen::generateF32("jetin", 0, 1 << 14);
+  for (const bool checksum : {false, true}) {
+    core::Config cfg;
+    cfg.pipeline = core::PipelineMode::Auto;
+    cfg.absErrorBound = 1e-3;
+    cfg.checksum = checksum;
+    core::CompressorStream codec(cfg);
+    const auto c = codec.compress<f32>(std::span<const f32>(field));
+
+    telemetry::TraceSession trace;
+    core::Decompressed<f32> d;
+    {
+      telemetry::ScopedTrace scoped(trace);
+      d = codec.decompress<f32>(c.stream);
+    }
+    TracedKernels k = tracedKernels(trace);
+    ASSERT_EQ(k.launches.size(), 1u) << checksum;
+    ASSERT_EQ(k.launches["v3_decompress"], 1);
+    const f64 crcPass =
+        checksum ? modelledPassSeconds(c.stream.size(), a100_40gb(), 1.0)
+                 : 0.0;
+    EXPECT_DOUBLE_EQ(d.profile.endToEndSeconds,
+                     k.seconds["v3_decompress"] + crcPass)
+        << "checksum " << checksum;
+
+    // Every block's descriptor and payload is digested and its 2 footer
+    // bytes read; zero blocks are flushed by memset and not decoded.
+    const core::StreamHeader header = core::StreamHeader::parse(c.stream);
+    const u64 numBlocks = header.numBlocks();
+    const u64 payloadBytes =
+        c.stream.size() - header.payloadBegin() - header.footerBytes();
+    const u64 decodedElems =
+        field.size() - d.profile.mem.memsetBytes / sizeof(f32);
+    EXPECT_EQ(d.profile.mem.bytesRead, payloadBytes + 3 * numBlocks);
+    EXPECT_EQ(d.profile.mem.arithmeticOps,
+              decodedElems * 8 +
+                  (numBlocks + payloadBytes) * kDigestOpsPerByte);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // table, RLE, Lorenzo-2D), the per-block selector's guarantees, the
 // mixed-pipeline salvage regression (a corrupted Huffman block between
 // intact FLE blocks quarantines exactly one block), dictionary-damage
-// quarantine, v3 random access / block replacement, batch parity, and the
-// service-layer rule that jobs never batch across pipeline policies.
+// quarantine, v3 random access / block replacement, batch parity, the
+// strict in-kernel digest check's failure order, and the service-layer
+// rule that jobs never batch across pipeline policies.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "core/stream.hpp"
 #include "service/job.hpp"
@@ -493,6 +495,80 @@ TEST(PipelineV3, BatchCompressAndDecodeMatchSerial) {
               0)
         << i;
   }
+}
+
+// ---- strict digest failures: in-kernel check, deterministic order -------
+
+/// A v3 stream with the footer digests of blocks `lo` and `hi` damaged.
+std::vector<std::byte> withDamagedDigests(std::vector<std::byte> stream,
+                                          u64 lo, u64 hi) {
+  const StreamHeader header = StreamHeader::parse(stream);
+  const usize footer = stream.size() - header.footerBytes();
+  stream[footer + 2 * lo] ^= std::byte{0x01};
+  stream[footer + 2 * hi + 1] ^= std::byte{0x80};
+  return stream;
+}
+
+std::string strictError(CompressorStream& codec, ConstByteSpan stream,
+                        u64 firstBlock = 0, u64 blockCount = 0) {
+  try {
+    if (blockCount == 0) {
+      codec.decompress<f32>(stream);
+    } else {
+      codec.decompressBlocks<f32>(stream, firstBlock, blockCount);
+    }
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Two damaged blocks in different tiles: the decode kernel's tiles race
+/// (ctest runs this suite on 4 workers), yet the error always names the
+/// lower block with its payload offset.
+TEST(PipelineV3, StrictDigestErrorNamesLowestBlockAtAnyTileOrder) {
+  const std::vector<f32> field = mixedSelectionField(64);
+  Config cfg = v3Config(PipelineMode::Auto);
+  cfg.blocksPerTile = 4;
+  CompressorStream codec(cfg);
+  const auto c = codec.compress<f32>(std::span<const f32>(field));
+  const u64 lo = 9;   // tile 2
+  const u64 hi = 50;  // tile 12
+  const std::vector<std::byte> corrupt = withDamagedDigests(c.stream, lo, hi);
+
+  const std::string want =
+      "decompress: per-block checksum mismatch at block " +
+      std::to_string(lo) + " (stream byte offset " +
+      std::to_string(v3PayloadOffset(corrupt, lo)) +
+      ") — the stream is corrupted";
+  for (int run = 0; run < 20; ++run) {
+    EXPECT_EQ(strictError(codec, ConstByteSpan(corrupt)), want) << run;
+  }
+}
+
+TEST(PipelineV3, BlockRangeChecksOnlyTheRequestedDigests) {
+  const std::vector<f32> field = mixedSelectionField(64);
+  Config cfg = v3Config(PipelineMode::Auto);
+  cfg.blocksPerTile = 4;
+  CompressorStream codec(cfg);
+  const auto c = codec.compress<f32>(std::span<const f32>(field));
+  const auto clean = codec.decompress<f32>(c.stream);
+  const std::vector<std::byte> corrupt = withDamagedDigests(c.stream, 9, 50);
+
+  // A range covering a damaged block throws, naming it.
+  const std::string err = strictError(codec, ConstByteSpan(corrupt), 40, 16);
+  EXPECT_NE(err.find("decompressBlocks: per-block checksum mismatch at "
+                     "block 50 "),
+            std::string::npos)
+      << err;
+
+  // A range between the damaged blocks decodes bit-exactly.
+  const auto r = codec.decompressBlocks<f32>(ConstByteSpan(corrupt), 10, 40);
+  EXPECT_EQ(r.firstElement, 10u * kBlock);
+  ASSERT_EQ(r.values.size(), 40u * kBlock);
+  EXPECT_EQ(std::memcmp(r.values.data(), clean.data.data() + 10 * kBlock,
+                        r.values.size() * sizeof(f32)),
+            0);
 }
 
 // ---- service batching isolation -----------------------------------------

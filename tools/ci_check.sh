@@ -171,6 +171,11 @@ echo "==== [release] crash drill (seed 4242) ===="
 echo "==== [asan] crash drill (seed 20260809, fast) ===="
 "${repo_root}/build-ci-asan/tools/crash_drill" --seed 20260809 --fast
 
+# The repo benchmark's statistics (perfbench/stats.py: quartiles,
+# pair wins, backlog and spread rules) have their own unit tests.
+echo "==== perfbench stats unit tests ===="
+(cd "${repo_root}" && python3 -m unittest discover -s perfbench)
+
 echo "==== [release] perf_regression -> BENCH_perf.json ===="
 (cd "${repo_root}" && "${repo_root}/build-ci-release/bench/perf_regression" \
   "${repo_root}/BENCH_perf.json")
