@@ -78,8 +78,8 @@ int main() {
     spec.bandwidthGBps = link.gbps;
     const RingAllreduce ring(devices, spec);
 
-    // The stream codec holds one warm CompressorStream across all hops and
-    // compresses each ring step's P sends through a single batched launch.
+    // The stream codec holds one warm CompressorStream across all hops:
+    // each send is one compress and one decompress launch.
     const auto raw = ring.run(grads, distributed::rawCodec());
     const auto ours = ring.run(grads, distributed::cuszp2StreamCodec(absEb),
                                absEb);

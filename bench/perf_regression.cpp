@@ -50,7 +50,6 @@ struct CaseResult {
   f64 modelledGBps = 0.0;
   f64 wallMsMedian = 0.0;
   f64 wallBudgetMs = 0.0;
-  u64 launches = 0;    // fused-launch count; service cases only
   u64 recoveries = 0;  // retries + in-stream relaunches; chaos case only
 };
 
@@ -71,10 +70,10 @@ constexpr WallBudget kWallBudgets[] = {
     {"cesm_atm/round_trip", 28.0},   {"hacc/compress", 14.0},
     {"hacc/decompress", 9.0},        {"hacc/round_trip", 24.0},
     {"jetin/compress", 14.0},        {"jetin/decompress", 4.5},
-    {"jetin/round_trip", 17.0},      {"service/batched", 42.0},
-    {"service/unbatched", 45.0},     {"service/batched_decompress", 20.0},
-    {"service/chaos", 80.0},         {"cluster/failover", 90.0},
-    {"ratio/v3", 60.0},              {"cas/dedup", 25.0},
+    {"jetin/round_trip", 17.0},      {"service/compress", 45.0},
+    {"service/decompress", 20.0},    {"service/chaos", 80.0},
+    {"cluster/failover", 90.0},      {"ratio/v3", 60.0},
+    {"cas/dedup", 25.0},
     // fsync-barrier bound, not CPU bound: budget leaves room for a slow
     // or contended disk (two passes x (10 journal syncs + 10 snapshots)).
     {"cas/journal", 90.0},
@@ -134,8 +133,7 @@ struct ServiceJob {
   usize elems;
 };
 
-/// 4 tenants with mixed request sizes, all sharing one Config so the
-/// batching scheduler can coalesce across tenants.
+/// 4 tenants with mixed request sizes, all sharing one Config.
 std::vector<ServiceJob> serviceWorkload(usize elems) {
   std::vector<ServiceJob> jobs;
   const std::string datasets[4] = {"cesm_atm", "hacc", "jetin", "cesm_atm"};
@@ -153,7 +151,7 @@ std::vector<ServiceJob> serviceWorkload(usize elems) {
 /// Fields for the service workload, generated once up front. datagen
 /// (libm-heavy Box-Muller) must stay outside every measured region: on a
 /// single core it costs more than the codec itself and would hide the
-/// batching advantage the service cases exist to guard.
+/// service overhead the service cases exist to guard.
 std::vector<std::vector<f32>> serviceFields(
     const std::vector<ServiceJob>& jobs) {
   std::vector<std::vector<f32>> fields;
@@ -166,16 +164,14 @@ std::vector<std::vector<f32>> serviceFields(
 }
 
 /// One pass of the workload through a CompressionService (1 worker +
-/// paused start + submit-all-then-resume, so batch formation and with it
-/// the modelled metrics are exact). Modelled seconds is the sum of the
-/// per-job modelled end-to-end times; `launches` counts fused launches.
+/// paused start + submit-all-then-resume, so the dispatch order and with
+/// it the modelled metrics are exact). Modelled seconds is the sum of the
+/// per-job modelled end-to-end times.
 Modelled modelServiceOnce(const std::vector<ServiceJob>& jobs,
-                          const std::vector<std::vector<f32>>& fields,
-                          bool batched, u64* launches) {
+                          const std::vector<std::vector<f32>>& fields) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = batched ? 8 : 1;
   service::CompressionService svc(scfg);
 
   core::Config cfg;
@@ -203,23 +199,14 @@ Modelled modelServiceOnce(const std::vector<ServiceJob>& jobs,
     bytesIn += static_cast<f64>(r.compressed.originalBytes);
     bytesOut += static_cast<f64>(r.compressed.stream.size());
   }
-  if (launches != nullptr) *launches = svc.stats().batches;
   return {bytesOut > 0.0 ? bytesIn / bytesOut : 0.0, seconds,
           seconds > 0.0 ? bytesIn / seconds / 1e9 : 0.0};
 }
 
-/// The service workload under a seeded chaos schedule: bit flips, aborted
-/// blocks and arena exhaustion, all absorbed by in-stream relaunches and
-/// service retries. Guards the cost of recovery — and that the recovery
-/// counters themselves are deterministic (same seed, same `recoveries`).
-/// Stall/wedge faults are excluded: they burn real wall time and need the
-/// watchdog, which this single-pass modelled case doesn't exercise.
 /// One warm pass of the compress workload through a long-lived service:
 /// pause, submit everything, resume, wait. Used for the wall-clock
 /// measurement — the worker streams' arenas are already grown, so the
-/// number is steady-state service throughput. (A cold service pays arena
-/// growth per run: the batched variant's arena is maxBatchJobs times
-/// larger, which used to swamp the 1-2 ms the launch amortization wins.)
+/// number is steady-state service throughput, not arena growth.
 void wallServiceOnce(service::CompressionService& svc,
                      const std::vector<ServiceJob>& jobs,
                      const std::vector<std::vector<f32>>& fields) {
@@ -268,16 +255,12 @@ void wallServiceDecompressOnce(
 }
 
 /// One pass of the pre-compressed workload back through the service as
-/// decompress jobs. Same submit-all-then-resume discipline; `launches`
-/// counts fused launches (a batched run must fuse the jobs into fewer
-/// launches than jobs — the decompress-side coalescing this PR adds).
+/// decompress jobs, with the same submit-all-then-resume discipline.
 Modelled modelServiceDecompressOnce(
-    const std::vector<std::vector<std::byte>>& streams, bool batched,
-    u64* launches) {
+    const std::vector<std::vector<std::byte>>& streams) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = batched ? 8 : 1;
   service::CompressionService svc(scfg);
 
   core::Config cfg;
@@ -308,18 +291,22 @@ Modelled modelServiceDecompressOnce(
   for (const std::vector<std::byte>& s : streams) {
     bytesIn += static_cast<f64>(s.size());
   }
-  if (launches != nullptr) *launches = svc.stats().batches;
   return {bytesIn > 0.0 ? bytesOut / bytesIn : 0.0, seconds,
           seconds > 0.0 ? bytesOut / seconds / 1e9 : 0.0};
 }
 
+/// The service workload under a seeded chaos schedule: bit flips, aborted
+/// blocks and arena exhaustion, all absorbed by in-stream relaunches and
+/// service retries. Guards the cost of recovery — and that the recovery
+/// counters themselves are deterministic (same seed, same `recoveries`).
+/// Stall/wedge faults are excluded: they burn real wall time and need the
+/// watchdog, which this single-pass modelled case doesn't exercise.
 Modelled modelChaosOnce(const std::vector<ServiceJob>& jobs,
                         const std::vector<std::vector<f32>>& fields,
                         u64* recoveries) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;
   scfg.watchdog.enabled = false;
   scfg.breaker.threshold = 0;
   scfg.retry.backoffBaseMillis = 0;
@@ -384,7 +371,6 @@ Modelled modelClusterFailoverOnce(const std::vector<ServiceJob>& jobs,
   ccfg.shards = 3;
   ccfg.replicas = 2;
   ccfg.shard.workers = 1;
-  ccfg.shard.maxBatchJobs = 8;
   ccfg.startPaused = true;
   cluster::CompressionCluster cl(ccfg);
 
@@ -530,121 +516,66 @@ int main(int argc, char** argv) {
   }
 
   // service_throughput scenario: the 4-tenant mixed workload through the
-  // CompressionService, batched vs. unbatched. The modelled advantage of
-  // coalescing (fewer fused launches, amortized launch overhead) is the
-  // number this case guards.
+  // CompressionService, once as compress jobs and once as decompress jobs
+  // of the same fields (pre-compressed outside the timed region). Each job
+  // is one launch; the rows guard the per-job service overhead.
   {
     const std::vector<ServiceJob> jobs = serviceWorkload(elems);
     const std::vector<std::vector<f32>> fields = serviceFields(jobs);
     u64 totalElems = 0;
     for (const ServiceJob& j : jobs) totalElems += j.elems;
-
-    const bool batchedFlag[2] = {true, false};
-    const char* caseNames[2] = {"service/batched", "service/unbatched"};
-    for (usize v = 0; v < 2; ++v) {
-      u64 launches = 0;
-      const Modelled pass1 =
-          modelServiceOnce(jobs, fields, batchedFlag[v], &launches);
-      const Modelled pass2 =
-          modelServiceOnce(jobs, fields, batchedFlag[v], nullptr);
-      if (!(pass1 == pass2)) {
-        std::fprintf(stderr,
-                     "FAIL %s: modelled metrics differ between runs "
-                     "(%.17g vs %.17g GB/s)\n",
-                     caseNames[v], pass1.gbps, pass2.gbps);
-        deterministic = false;
-      }
-      service::ServiceConfig wcfg;
-      wcfg.workers = 1;
-      wcfg.startPaused = true;
-      wcfg.maxBatchJobs = batchedFlag[v] ? 8 : 1;
-      service::CompressionService warmSvc(wcfg);
-      wallServiceOnce(warmSvc, jobs, fields);  // warm the worker's arena
-      const bench::RepeatStats wall = bench::measureRepeated(
-          3, [&] { wallServiceOnce(warmSvc, jobs, fields); });
-
-      CaseResult r;
-      r.name = caseNames[v];
-      r.elems = totalElems;
-      r.ratio = pass1.ratio;
-      r.modelledSeconds = pass1.seconds;
-      r.modelledGBps = pass1.gbps;
-      r.wallMsMedian = wall.medianSeconds * 1e3;
-      r.launches = launches;
-      std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
-                  "  (%zu jobs, %llu launches)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
-                  jobs.size(), static_cast<unsigned long long>(launches));
-
-      f64 prior = 0.0;
-      if (!previous.empty() && previousGbps(previous, r.name, &prior) &&
-          prior > 0.0) {
-        const f64 drift = std::fabs(r.modelledGBps - prior) / prior;
-        if (drift > kTolerance) {
-          std::printf("WARN %s: modelled throughput drifted %.1f%% "
-                      "(%.2f -> %.2f GB/s)\n",
-                      r.name.c_str(), drift * 100.0, prior, r.modelledGBps);
-          ++warns;
-        }
-      }
-      results.push_back(std::move(r));
-    }
-
-    // service/batched_decompress: the same mixed workload pre-compressed
-    // OUTSIDE the timed region, then decoded through the service with
-    // coalescing on. Guards the decompress-side fusion: the launch count
-    // must stay below the job count.
+    std::vector<std::vector<std::byte>> streams;
     {
       core::Config cfg;
       cfg.relErrorBound = 1e-3;
       core::CompressorStream codec(cfg);
-      std::vector<std::vector<std::byte>> streams;
       streams.reserve(jobs.size());
-      for (usize i = 0; i < jobs.size(); ++i) {
+      for (const std::vector<f32>& field : fields) {
         streams.push_back(
-            codec.compress<f32>(std::span<const f32>(fields[i])).stream);
+            codec.compress<f32>(std::span<const f32>(field)).stream);
       }
+    }
 
-      u64 launches = 0;
-      const Modelled pass1 =
-          modelServiceDecompressOnce(streams, true, &launches);
-      const Modelled pass2 = modelServiceDecompressOnce(streams, true,
-                                                        nullptr);
+    for (const bool compress : {true, false}) {
+      const char* name = compress ? "service/compress" : "service/decompress";
+      const auto model = [&] {
+        return compress ? modelServiceOnce(jobs, fields)
+                        : modelServiceDecompressOnce(streams);
+      };
+      const Modelled pass1 = model();
+      const Modelled pass2 = model();
       if (!(pass1 == pass2)) {
         std::fprintf(stderr,
-                     "FAIL service/batched_decompress: modelled metrics "
-                     "differ between runs (%.17g vs %.17g GB/s)\n",
-                     pass1.gbps, pass2.gbps);
-        deterministic = false;
-      }
-      if (launches >= jobs.size()) {
-        std::fprintf(stderr,
-                     "FAIL service/batched_decompress: %llu launches for "
-                     "%zu jobs — decompress coalescing is not fusing\n",
-                     static_cast<unsigned long long>(launches), jobs.size());
+                     "FAIL %s: modelled metrics differ between runs "
+                     "(%.17g vs %.17g GB/s)\n",
+                     name, pass1.gbps, pass2.gbps);
         deterministic = false;
       }
       service::ServiceConfig wcfg;
       wcfg.workers = 1;
       wcfg.startPaused = true;
-      wcfg.maxBatchJobs = 8;
       service::CompressionService warmSvc(wcfg);
-      wallServiceDecompressOnce(warmSvc, streams);  // warm the arena
-      const bench::RepeatStats wall = bench::measureRepeated(
-          3, [&] { wallServiceDecompressOnce(warmSvc, streams); });
+      const auto wallPass = [&] {
+        if (compress) {
+          wallServiceOnce(warmSvc, jobs, fields);
+        } else {
+          wallServiceDecompressOnce(warmSvc, streams);
+        }
+      };
+      wallPass();  // warm the worker's arena
+      const bench::RepeatStats wall = bench::measureRepeated(3, wallPass);
 
       CaseResult r;
-      r.name = "service/batched_decompress";
+      r.name = name;
       r.elems = totalElems;
       r.ratio = pass1.ratio;
       r.modelledSeconds = pass1.seconds;
       r.modelledGBps = pass1.gbps;
       r.wallMsMedian = wall.medianSeconds * 1e3;
-      r.launches = launches;
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
-                  "  (%zu jobs, %llu launches)\n",
+                  "  (%zu jobs)\n",
                   r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
-                  jobs.size(), static_cast<unsigned long long>(launches));
+                  jobs.size());
 
       f64 prior = 0.0;
       if (!previous.empty() && previousGbps(previous, r.name, &prior) &&
@@ -1053,9 +984,6 @@ int main(int argc, char** argv) {
     json += ", \"modelled_gbps\": " + f64Str(r.modelledGBps);
     json += ", \"wall_ms_median\": " + f64Str(r.wallMsMedian);
     json += ", \"wall_budget_ms\": " + f64Str(r.wallBudgetMs);
-    if (r.launches > 0) {
-      json += ", \"launches\": " + std::to_string(r.launches);
-    }
     if (r.recoveries > 0) {
       json += ", \"recoveries\": " + std::to_string(r.recoveries);
     }

@@ -6,8 +6,8 @@
 //
 //   * Routing: a tenant's jobs go to the first live shard on its ring
 //     walk (Up preferred over Degraded, Down skipped). Shard services
-//     keep their own FIFO lanes, batching, watchdog/retry/breaker
-//     ladder — the cluster layer only decides placement.
+//     keep their own FIFO lanes and watchdog/retry/breaker ladder — the
+//     cluster layer only decides placement.
 //   * Failover: when a shard dies, its queued jobs resolve Abandoned at
 //     the shard level (shutdown drain) and the cluster resubmits each to
 //     the next untried live replica in ring order, reusing the

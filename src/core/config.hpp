@@ -81,15 +81,7 @@ struct Config {
   /// the v1/v2 FLE wire format bit-exactly; any other value emits format
   /// v3, where each block records its pipeline id — Auto selects the
   /// smallest candidate per block, the remaining values pin one pipeline.
-  /// Part of operator==, so the service batcher never fuses jobs across
-  /// pipeline policies.
   PipelineMode pipeline = PipelineMode::Legacy;
-
-  /// Memberwise equality. The service-layer batching scheduler coalesces
-  /// only requests with identical configs (same error bound, mode, layout
-  /// and integrity settings), so one fused launch serves them all without
-  /// changing any request's output bytes.
-  bool operator==(const Config&) const = default;
 
   void validate() const {
     require(relErrorBound > 0.0 || absErrorBound > 0.0,

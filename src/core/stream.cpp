@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <limits>
 #include <optional>
 
@@ -70,8 +69,7 @@ using detail::secondOrderDiff;
 
 /// Tile-local compression scratch, pre-partitioned into one slot per pool
 /// worker. A worker runs exactly one task at a time and each kernel-body
-/// invocation fully re-initializes its slot, so slots never alias even
-/// when several batched kernels interleave on the pool.
+/// invocation fully re-initializes its slot, so slots never alias.
 struct WorkerScratch {
   std::span<i32> quants;
   std::span<BlockPlan> plans;
@@ -90,7 +88,7 @@ WorkerScratch makeWorkerScratch(Arena& arena, usize workers, u32 bpt,
 }
 
 /// Everything one compress needs between preparation and finalization.
-/// Prepared on the host, referenced by the (possibly batched) kernel body.
+/// Prepared on the host, referenced by the kernel body.
 struct FieldJob {
   StreamHeader header;
   u64 n = 0;
@@ -109,7 +107,7 @@ struct FieldJob {
   /// writes the block; finishField copies them into the footer.
   std::span<u16> blockDigests;
   std::optional<TileSync> sync;
-  gpusim::KernelDesc desc;
+  std::function<void(gpusim::BlockCtx&)> body;
 };
 
 /// Host-side setup of one field's compression: error-bound resolution,
@@ -154,7 +152,7 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
                      job.header.footerBytes();
   job.staging = static_cast<std::byte*>(arena.allocate(job.stagingBytes));
   job.header.serialize(job.staging);
-  if (n == 0) return;  // desc.gridSize stays 0: nothing to launch
+  if (n == 0) return;  // body stays empty: nothing to launch
 
   std::byte* offsetBytes = job.staging + StreamHeader::offsetsBegin();
   std::byte* payloadOut = job.staging + job.header.payloadBegin();
@@ -183,9 +181,7 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   const usize quantsPerWorker = scratch.quantsPerWorker;
   const usize plansPerWorker = scratch.plansPerWorker;
 
-  job.desc.gridSize = job.tiles;
-  job.desc.name = "compress";
-  job.desc.body = [=](gpusim::BlockCtx& ctx) {
+  job.body = [=](gpusim::BlockCtx& ctx) {
     const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
     const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
     const u32 blocksHere = static_cast<u32>(lastBlock - firstBlock);
@@ -496,16 +492,16 @@ void CompressorStream::applyInjectedArenaBudget() {
 }
 
 gpusim::LaunchResult CompressorStream::launchVerified(
-    const gpusim::KernelDesc& desc, std::span<std::byte> faultTarget,
-    const std::function<bool()>& verify,
+    const char* name, u32 gridSize,
+    const std::function<void(gpusim::BlockCtx&)>& body,
+    std::span<std::byte> faultTarget, const std::function<bool()>& verify,
     const std::function<void()>& rearm) {
   for (u32 attempt = 0;; ++attempt) {
     std::exception_ptr failure;
     gpusim::LaunchResult launch;
     bool ok = false;
     try {
-      launch = launcher_.launch(desc.gridSize, desc.body,
-                                desc.blocksPerTask, faultTarget, desc.name);
+      launch = launcher_.launch(gridSize, body, 0, faultTarget, name);
       ok = verify();
     } catch (const Error&) {
       failure = std::current_exception();
@@ -543,90 +539,20 @@ Compressed CompressorStream::compress(std::span<const T> data) {
   FieldJob job;
   prepareField(config_, timing_, arena_, scratch, workers, data, job);
   gpusim::LaunchResult launch;
-  if (job.desc.gridSize > 0) {
+  if (job.body) {
     if (config_.faultRetries > 0) {
       launch = launchVerified(
-          job.desc, compressFaultTarget(job),
+          "compress", job.tiles, job.body, compressFaultTarget(job),
           [&] { return compressWriteDigestsMatch(job, config_.blocksPerTile); },
           [&] {
             job.sync.emplace(config_.syncAlgorithm, job.tiles, arena_);
           });
     } else {
-      launch = launcher_.launch(job.desc.gridSize, job.desc.body,
-                                job.desc.blocksPerTask, {}, job.desc.name);
+      launch = launcher_.launch(job.tiles, job.body, 0, {}, "compress");
     }
   }
   Compressed out = finishField(config_, timing_, job, launch);
   noteCompressed(out);
-  return out;
-}
-
-template <FloatingPoint T>
-std::vector<Compressed> CompressorStream::compressBatch(
-    std::span<const std::span<const T>> fields) {
-  // Format-v3 compression is a two-kernel pass with a host selection stage
-  // between them, which cannot interleave inside one fused launch; each
-  // field compresses on its own (byte-identical to compress(fields[i])).
-  if (config_.pipeline != PipelineMode::Legacy) {
-    std::vector<Compressed> out;
-    out.reserve(fields.size());
-    for (const std::span<const T>& field : fields) {
-      out.push_back(compressV3<T>(field));
-    }
-    return out;
-  }
-  arena_.reset();
-  applyInjectedArenaBudget();
-  const usize workers = launcher_.workerCount();
-  // One scratch shared by every kernel of the batch: slots are per worker,
-  // and a worker runs one task at a time regardless of which kernel the
-  // task belongs to.
-  const WorkerScratch scratch = makeWorkerScratch(
-      arena_, workers, config_.blocksPerTile, config_.blockSize);
-
-  std::vector<FieldJob> jobs(fields.size());
-  for (usize i = 0; i < fields.size(); ++i) {
-    prepareField(config_, timing_, arena_, scratch, workers, fields[i],
-                 jobs[i]);
-    if (config_.faultRetries > 0) {
-      jobs[i].desc.faultTarget = compressFaultTarget(jobs[i]);
-    }
-  }
-
-  std::vector<gpusim::KernelDesc> descs;
-  descs.reserve(jobs.size());
-  for (FieldJob& job : jobs) descs.push_back(std::move(job.desc));
-  auto launches = launcher_.launchBatch(descs);
-
-  // Per-field fault verification: a corrupt field is relaunched on its
-  // own (the surviving fields' results are kept).
-  if (config_.faultRetries > 0) {
-    for (usize i = 0; i < jobs.size(); ++i) {
-      if (descs[i].gridSize == 0 ||
-          compressWriteDigestsMatch(jobs[i], config_.blocksPerTile)) {
-        continue;
-      }
-      noteFaultDetected();
-      noteFaultRelaunch();
-      jobs[i].sync.emplace(config_.syncAlgorithm, jobs[i].tiles, arena_);
-      launches[i] = launchVerified(
-          descs[i], compressFaultTarget(jobs[i]),
-          [&, i] {
-            return compressWriteDigestsMatch(jobs[i], config_.blocksPerTile);
-          },
-          [&, i] {
-            jobs[i].sync.emplace(config_.syncAlgorithm, jobs[i].tiles,
-                                 arena_);
-          });
-    }
-  }
-
-  std::vector<Compressed> out;
-  out.reserve(jobs.size());
-  for (usize i = 0; i < jobs.size(); ++i) {
-    out.push_back(finishField(config_, timing_, jobs[i], launches[i]));
-    noteCompressed(out.back());
-  }
   return out;
 }
 
@@ -695,10 +621,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   const AccessRecorder access{config_.vectorizedAccess,
                               timing_.spec().transactionBytes};
 
-  gpusim::KernelDesc desc;
-  desc.gridSize = tiles;
-  desc.name = "decompress";
-  desc.body = [&, tileWriteCrc](gpusim::BlockCtx& ctx) {
+  const auto body = [&, tileWriteCrc](gpusim::BlockCtx& ctx) {
     const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
     const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
     const u32 blocksHere = static_cast<u32>(lastBlock - firstBlock);
@@ -779,231 +702,16 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
       }
       return true;
     };
-    launch = launchVerified(desc, outBytes, verify, [&] {
+    launch = launchVerified("decompress", tiles, body, outBytes, verify, [&] {
       syncState.emplace(config_.syncAlgorithm, tiles, arena_);
     });
   } else {
-    launch = launcher_.launch(tiles, desc.body, desc.blocksPerTask, {},
-                              desc.name);
+    launch = launcher_.launch(tiles, body, 0, {}, "decompress");
   }
 
   out.profile =
       makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
   noteDecompressed(stream.size(), n * sizeof(T), out.profile.endToEndGBps);
-  return out;
-}
-
-namespace {
-
-/// Per-stream state of one member of a fused decompress batch. Everything
-/// the kernel body references by pointer must outlive the launch, so the
-/// jobs vector is sized once up front and never reallocated.
-struct DecodeJob {
-  StreamHeader header;
-  const std::byte* offsetBytes = nullptr;
-  const std::byte* payload = nullptr;
-  usize payloadAvail = 0;
-  u32 tiles = 1;
-  std::optional<TileSync> sync;
-  f64 checksumSeconds = 0.0;
-  gpusim::KernelDesc desc;
-};
-
-/// Builds the strict decode kernel body for one stream of a fused batch:
-/// the same per-tile walk as decompress() minus the write-digest pass
-/// (fault-injection configs take the serial fallback instead). Small
-/// per-block state (codec, quantizer, size table) is captured by value so
-/// the body stays self-contained once enqueued.
-template <FloatingPoint T>
-void buildDecodeKernel(const Config& config,
-                       const gpusim::TimingModel& timing, DecodeJob& job,
-                       std::byte* outBytes) {
-  const u32 L = job.header.blockSize;
-  const u32 bpt = config.blocksPerTile;
-  const u64 n = job.header.numElements;
-  const u64 numBlocks = job.header.numBlocks();
-  T* out = reinterpret_cast<T*>(outBytes);
-  const std::byte* offsetBytes = job.offsetBytes;
-  const std::byte* payload = job.payload;
-  const usize payloadAvail = job.payloadAvail;
-  TileSync* sync = &*job.sync;
-  const Quantizer quantizer(job.header.absErrorBound);
-  const BlockCodec codec(L);
-  const PayloadSizeTable psize(L);
-  const AccessRecorder access{config.vectorizedAccess,
-                              timing.spec().transactionBytes};
-  const Predictor predictor = job.header.predictor;
-
-  job.desc.gridSize = job.tiles;
-  job.desc.name = "decompress";
-  job.desc.body = [=](gpusim::BlockCtx& ctx) {
-    const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
-    const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
-    const u32 blocksHere = static_cast<u32>(lastBlock - firstBlock);
-
-    u64 aggregate = 0;
-    for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
-      aggregate += psize[offsetBytes[blk]];
-    }
-    access.read(ctx.mem, blocksHere, 1);
-    ctx.mem.noteOps(blocksHere * 2);
-
-    const u64 base =
-        sync->processTile(ctx.blockIdx, aggregate, ctx.sync, ctx.mem);
-
-    u64 cursor = base;
-    i32 quantsArr[256];
-    u64 zeroBytes = 0;
-    u64 decodedElems = 0;
-    u64 payloadBytesRead = 0;
-    for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
-      const auto h =
-          BlockHeader::unpack(std::to_integer<u8>(offsetBytes[blk]));
-      const usize size = psize[offsetBytes[blk]];
-      const u64 eFirst = blk * L;
-      const u64 eLast = std::min<u64>(n, eFirst + L);
-
-      if (!h.outlierMode && h.fixedLength == 0) {
-        for (u64 e = eFirst; e < eLast; ++e) out[e] = T{};
-        zeroBytes += (eLast - eFirst) * sizeof(T);
-        continue;
-      }
-
-      require(cursor + size <= payloadAvail,
-              "decompressBatch: truncated payload region");
-      std::span<i32> q(quantsArr, L);
-      codec.decodeResiduals(h, payload + cursor, q);
-      residualsToQuants(q, q, predictor);
-      cursor += size;
-      payloadBytesRead += size;
-      dequantizeSpan(quantizer,
-                     std::span<const i32>(quantsArr, eLast - eFirst),
-                     out + eFirst);
-      decodedElems += eLast - eFirst;
-    }
-    access.read(ctx.mem, payloadBytesRead, 4);
-    access.write(ctx.mem, decodedElems * sizeof(T), sizeof(T));
-    ctx.mem.noteMemset(zeroBytes);
-    ctx.mem.noteOps(decodedElems * 6);
-    ctx.mem.noteL1(decodedElems * 8);
-  };
-}
-
-/// Serial-fallback copy: one typed decompress flattened to raw bytes.
-template <FloatingPoint T>
-void decompressSerialRaw(CompressorStream& self, ConstByteSpan stream,
-                         DecompressedRaw& out) {
-  Decompressed<T> d = self.decompress<T>(stream);
-  out.elements = d.data.size();
-  out.precision = precisionOf<T>();
-  out.profile = d.profile;
-  out.data.resize(d.data.size() * sizeof(T));
-  if (!d.data.empty()) {
-    std::memcpy(out.data.data(), d.data.data(), out.data.size());
-  }
-}
-
-}  // namespace
-
-std::vector<DecompressedRaw> CompressorStream::decompressBatchRaw(
-    std::span<const ConstByteSpan> streams) {
-  std::vector<DecompressedRaw> out(streams.size());
-  if (streams.empty()) return out;
-
-  // Per-stream write-digest verification cannot isolate one member of a
-  // fused launch, so fault-injection configurations keep the serial
-  // detect-and-retry semantics of decompress(). Version-3 streams decode
-  // through their own pipeline-aware pass (host-side block positioning,
-  // shared dictionary), which likewise runs one launch per stream.
-  bool anyV3 = false;
-  for (const ConstByteSpan s : streams) {
-    if (StreamHeader::parse(s).version >= kFormatVersionV3) {
-      anyV3 = true;
-      break;
-    }
-  }
-  if (config_.faultRetries > 0 || anyV3) {
-    for (usize i = 0; i < streams.size(); ++i) {
-      const StreamHeader header = StreamHeader::parse(streams[i]);
-      if (header.precision == Precision::F32) {
-        decompressSerialRaw<f32>(*this, streams[i], out[i]);
-      } else {
-        decompressSerialRaw<f64>(*this, streams[i], out[i]);
-      }
-    }
-    return out;
-  }
-
-  arena_.reset();
-  applyInjectedArenaBudget();
-
-  std::vector<DecodeJob> jobs(streams.size());
-  for (usize i = 0; i < streams.size(); ++i) {
-    DecodeJob& job = jobs[i];
-    const ConstByteSpan stream = streams[i];
-    job.header = StreamHeader::parse(stream);
-
-    if (job.header.checksum != 0) {
-      u32 crc = crc32(ConstByteSpan(
-          stream.data() + StreamHeader::offsetsBegin(),
-          stream.size() - StreamHeader::offsetsBegin()));
-      if (crc == 0) crc = 1;
-      require(crc == job.header.checksum,
-              "decompressBatch: checksum mismatch — the stream is "
-              "corrupted");
-      job.checksumSeconds +=
-          gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
-    }
-    validateStrictLayout("decompressBatch", job.header, stream, 0,
-                         job.header.numBlocks());
-    if (job.header.hasBlockChecksums()) {
-      job.checksumSeconds +=
-          gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
-    }
-
-    const u64 n = job.header.numElements;
-    const usize elemBytes =
-        job.header.precision == Precision::F32 ? sizeof(f32) : sizeof(f64);
-    out[i].precision = job.header.precision;
-    out[i].elements = n;
-    out[i].data.assign(n * elemBytes, std::byte{});
-    if (n == 0) {
-      job.desc.gridSize = 0;
-      out[i].profile.endToEndSeconds = timing_.launchSeconds();
-      continue;
-    }
-
-    const u64 numBlocks = job.header.numBlocks();
-    job.tiles = static_cast<u32>(std::max<u64>(
-        1, (numBlocks + config_.blocksPerTile - 1) / config_.blocksPerTile));
-    job.offsetBytes = stream.data() + StreamHeader::offsetsBegin();
-    job.payload = stream.data() + job.header.payloadBegin();
-    job.payloadAvail =
-        stream.size() - job.header.payloadBegin() - job.header.footerBytes();
-    job.sync.emplace(config_.syncAlgorithm, job.tiles, arena_);
-    if (job.header.precision == Precision::F32) {
-      buildDecodeKernel<f32>(config_, timing_, job, out[i].data.data());
-    } else {
-      buildDecodeKernel<f64>(config_, timing_, job, out[i].data.data());
-    }
-  }
-
-  std::vector<gpusim::KernelDesc> descs;
-  descs.reserve(jobs.size());
-  for (DecodeJob& job : jobs) descs.push_back(std::move(job.desc));
-  auto launches = launcher_.launchBatch(descs);
-
-  for (usize i = 0; i < jobs.size(); ++i) {
-    if (descs[i].gridSize == 0) {
-      noteDecompressed(streams[i].size(), 0, 0.0);
-      continue;
-    }
-    out[i].profile = makeProfile(launches[i], timing_,
-                                 jobs[i].header.originalBytes(),
-                                 jobs[i].checksumSeconds);
-    noteDecompressed(streams[i].size(), out[i].data.size(),
-                     out[i].profile.endToEndGBps);
-  }
   return out;
 }
 
@@ -1414,10 +1122,6 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
 // Explicit instantiations of the public surface.
 template Compressed CompressorStream::compress<f32>(std::span<const f32>);
 template Compressed CompressorStream::compress<f64>(std::span<const f64>);
-template std::vector<Compressed> CompressorStream::compressBatch<f32>(
-    std::span<const std::span<const f32>>);
-template std::vector<Compressed> CompressorStream::compressBatch<f64>(
-    std::span<const std::span<const f64>>);
 template Decompressed<f32> CompressorStream::decompress<f32>(ConstByteSpan);
 template Decompressed<f64> CompressorStream::decompress<f64>(ConstByteSpan);
 template BlockRange<f32> CompressorStream::decompressBlocks<f32>(

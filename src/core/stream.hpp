@@ -61,16 +61,6 @@ struct Decompressed {
   KernelProfile profile;
 };
 
-/// Decompressed elements as raw little-endian bytes — the form batched
-/// service decodes consume (the element type is stream-determined, so a
-/// fused batch may mix precisions).
-struct DecompressedRaw {
-  std::vector<std::byte> data;
-  u64 elements = 0;
-  Precision precision = Precision::F32;
-  KernelProfile profile;
-};
-
 template <FloatingPoint T>
 struct BlockRange {
   /// Index of the first element covered by the decoded range.
@@ -182,27 +172,9 @@ class CompressorStream {
   template <FloatingPoint T>
   Compressed compress(std::span<const T> data);
 
-  /// Compresses several independent fields through one batched launch
-  /// (one latch, one task-submission pass — see Launcher::launchBatch).
-  /// Element i of the result is byte-identical to compress(fields[i]).
-  template <FloatingPoint T>
-  std::vector<Compressed> compressBatch(
-      std::span<const std::span<const T>> fields);
-
   /// Semantics identical to Compressor::decompress.
   template <FloatingPoint T>
   Decompressed<T> decompress(ConstByteSpan stream);
-
-  /// Decompresses several independent streams through one fused launch
-  /// (mirrors compressBatch: one latch, one task-submission pass).
-  /// Element i's bytes are identical to decompress(streams[i]) output.
-  /// Strict semantics: a corrupt stream throws (version 1/2 before any
-  /// kernel runs; a version-3 block digest mismatch after its decode
-  /// launch, like decompress()). With Config::faultRetries > 0 the per-stream write-digest relaunch
-  /// cannot run inside a fused launch, so the call degrades to serial
-  /// decompress calls (same results, one launch per stream).
-  std::vector<DecompressedRaw> decompressBatchRaw(
-      std::span<const ConstByteSpan> streams);
 
   /// Salvage decode: treats `stream` as untrusted, bounds-checks every
   /// offset/payload access, quarantines blocks that are truncated,
@@ -262,8 +234,9 @@ class CompressorStream {
   /// Config::faultRetries times while `verify` reports corrupt output or
   /// the launch aborts; `rearm` reinitializes scan state between attempts.
   gpusim::LaunchResult launchVerified(
-      const gpusim::KernelDesc& desc, std::span<std::byte> faultTarget,
-      const std::function<bool()>& verify,
+      const char* name, u32 gridSize,
+      const std::function<void(gpusim::BlockCtx&)>& body,
+      std::span<std::byte> faultTarget, const std::function<bool()>& verify,
       const std::function<void()>& rearm);
 
   /// Consumes a pending arena-exhaustion fault from the launcher's

@@ -271,10 +271,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   // Phase 1 — quantize + delta-1 per block, map symbols, and gather the
   // candidate sizes the host selector needs. Same per-element analysis
   // cost as the legacy pass 1, plus the RLE/Lorenzo candidate walks.
-  gpusim::KernelDesc analyze;
-  analyze.gridSize = tiles;
-  analyze.name = "v3_analyze";
-  analyze.body = [&](gpusim::BlockCtx& ctx) {
+  const auto analyzeBody = [&](gpusim::BlockCtx& ctx) {
     const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
     const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
     i32 quantsArr[256];
@@ -319,8 +316,8 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
     ctx.mem.noteOps((lastBlock - firstBlock) * L * 20);
     ctx.mem.noteL1((lastBlock - firstBlock) * L * 12);
   };
-  const auto analyzeLaunch = launcher_.launch(
-      analyze.gridSize, analyze.body, analyze.blocksPerTask, {}, analyze.name);
+  const auto analyzeLaunch =
+      launcher_.launch(tiles, analyzeBody, 0, {}, "v3_analyze");
 
   // Host stage — shared Huffman table from the whole-stream histogram,
   // per-block Huffman candidate sizes, pipeline selection, prefix sum.
@@ -374,10 +371,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   // into its footer slot while its bytes are still in hand. No inter-tile
   // synchronization: positions came from the host prefix sum.
   const std::span<const PipelineId> choice = sel.choice;
-  gpusim::KernelDesc encode;
-  encode.gridSize = tiles;
-  encode.name = "v3_encode";
-  encode.body = [&](gpusim::BlockCtx& ctx) {
+  const auto encodeBody = [&](gpusim::BlockCtx& ctx) {
     const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
     const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
     i32 quantsArr[256];
@@ -442,8 +436,8 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
     ctx.mem.noteOps(bytesWritten * 8);
     ctx.mem.noteL1((lastBlock - firstBlock) * L * 4);
   };
-  const auto encodeLaunch = launcher_.launch(
-      encode.gridSize, encode.body, encode.blocksPerTask, {}, encode.name);
+  const auto encodeLaunch =
+      launcher_.launch(tiles, encodeBody, 0, {}, "v3_encode");
 
   if (config_.checksum) {
     header.checksum = crc32(ConstByteSpan(

@@ -57,23 +57,6 @@ ExchangeCodec cuszp2StreamCodec(f64 absErrorBound, gpusim::DeviceSpec device) {
     codecSeconds = c.profile.endToEndSeconds + d.profile.endToEndSeconds;
     reconstructed = std::move(d.data);
   };
-  codec.batchTransform = [stream](
-                             std::span<const std::span<const f32>> chunks,
-                             std::vector<std::vector<f32>>& reconstructed,
-                             std::vector<u64>& wireBytes,
-                             std::vector<f64>& codecSeconds) {
-    const auto compressed = stream->compressBatch(chunks);
-    reconstructed.resize(chunks.size());
-    wireBytes.resize(chunks.size());
-    codecSeconds.resize(chunks.size());
-    for (usize i = 0; i < chunks.size(); ++i) {
-      auto d = stream->decompress<f32>(compressed[i].stream);
-      wireBytes[i] = compressed[i].stream.size();
-      codecSeconds[i] =
-          compressed[i].profile.endToEndSeconds + d.profile.endToEndSeconds;
-      reconstructed[i] = std::move(d.data);
-    }
-  };
   return codec;
 }
 
@@ -88,8 +71,7 @@ AllreduceResult RingAllreduce::run(
   }
   require(n % devices_ == 0,
           "RingAllreduce: vector length must divide into device count");
-  require(static_cast<bool>(codec.transform) ||
-              static_cast<bool>(codec.batchTransform),
+  require(static_cast<bool>(codec.transform),
           "RingAllreduce: codec has no transform");
 
   const usize chunk = n / devices_;
@@ -110,44 +92,23 @@ AllreduceResult RingAllreduce::run(
   // sendChunkOf(d) to its right neighbour. Fills `incoming[d]` with what
   // device d receives, accumulates wire bytes, and returns the step's
   // critical-path time (slowest codec + link pair; the step is a
-  // synchronization point). A codec with batchTransform compresses all P
-  // sends through one batched launch.
+  // synchronization point).
   auto exchangeStep = [&](auto sendChunkOf,
                           std::vector<std::vector<f32>>& incoming) -> f64 {
     f64 stepSeconds = 0.0;
     f64 roundCodecSeconds = 0.0;  // critical-path codec time of this round
     u64 roundWireBytes = 0;
-    if (codec.batchTransform) {
-      std::vector<std::span<const f32>> sends(P);
-      for (u32 d = 0; d < P; ++d) sends[d] = chunkSpan(d, sendChunkOf(d));
-      std::vector<std::vector<f32>> recon;
-      std::vector<u64> bytes;
-      std::vector<f64> codecSeconds;
-      codec.batchTransform(sends, recon, bytes, codecSeconds);
-      require(recon.size() == P && bytes.size() == P &&
-                  codecSeconds.size() == P,
-              "RingAllreduce: batchTransform output size mismatch");
-      for (u32 d = 0; d < P; ++d) {
-        incoming[(d + 1) % P] = std::move(recon[d]);
-        result.wireBytes += bytes[d];
-        roundWireBytes += bytes[d];
-        roundCodecSeconds = std::max(roundCodecSeconds, codecSeconds[d]);
-        stepSeconds = std::max(
-            stepSeconds, codecSeconds[d] + link_.transferSeconds(bytes[d]));
-      }
-    } else {
-      for (u32 d = 0; d < P; ++d) {
-        u64 bytes = 0;
-        f64 codecSeconds = 0.0;
-        codec.transform(chunkSpan(d, sendChunkOf(d)), wire, bytes,
-                        codecSeconds);
-        incoming[(d + 1) % P] = wire;
-        result.wireBytes += bytes;
-        roundWireBytes += bytes;
-        roundCodecSeconds = std::max(roundCodecSeconds, codecSeconds);
-        stepSeconds = std::max(stepSeconds,
-                               codecSeconds + link_.transferSeconds(bytes));
-      }
+    for (u32 d = 0; d < P; ++d) {
+      u64 bytes = 0;
+      f64 codecSeconds = 0.0;
+      codec.transform(chunkSpan(d, sendChunkOf(d)), wire, bytes,
+                      codecSeconds);
+      incoming[(d + 1) % P] = wire;
+      result.wireBytes += bytes;
+      roundWireBytes += bytes;
+      roundCodecSeconds = std::max(roundCodecSeconds, codecSeconds);
+      stepSeconds = std::max(stepSeconds,
+                             codecSeconds + link_.transferSeconds(bytes));
     }
     // Per-round telemetry: the round's critical-path codec time (in µs,
     // the histogram is integer-valued) and the ring's wire traffic.

@@ -50,17 +50,6 @@ struct ExchangeCodec {
                      std::vector<f32>& reconstructed, u64& wireBytes,
                      f64& codecSeconds)>
       transform;
-
-  /// Optional batched variant: all P sends of one ring step at once (the
-  /// devices run concurrently, so a codec backed by a CompressorStream can
-  /// dispatch them as a single batched launch). Output vectors must be
-  /// resized to chunks.size(); entry i corresponds to chunks[i]. When set,
-  /// RingAllreduce::run prefers it over per-chunk `transform`.
-  std::function<void(std::span<const std::span<const f32>> chunks,
-                     std::vector<std::vector<f32>>& reconstructed,
-                     std::vector<u64>& wireBytes,
-                     std::vector<f64>& codecSeconds)>
-      batchTransform;
 };
 
 struct AllreduceResult {
@@ -107,9 +96,9 @@ class RingAllreduce {
 ExchangeCodec rawCodec();
 
 /// cuSZp2 exchange codec holding a long-lived core::CompressorStream: the
-/// arena scratch stays warm across hops and the batched path compresses
-/// all P sends of a ring step in one launch. Copies of the codec share the
-/// stream, so one hop's scratch serves the whole collective.
+/// arena scratch stays warm across hops, and each send is one compress
+/// and one decompress launch. Copies of the codec share the stream, so
+/// one hop's scratch serves the whole collective.
 ExchangeCodec cuszp2StreamCodec(f64 absErrorBound,
                                 gpusim::DeviceSpec device = gpusim::a100_40gb());
 

@@ -24,16 +24,11 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "gpusim/mem_counters.hpp"
 #include "gpusim/sync_stats.hpp"
-
-namespace cuszp2::telemetry {
-class TraceSession;
-}
 
 namespace cuszp2::gpusim {
 
@@ -63,28 +58,11 @@ struct LaunchResult {
   u32 injectedWedgeTicks = 0;
 };
 
-/// One independent grid of a batched launch (see Launcher::launchBatch).
-struct KernelDesc {
-  u32 gridSize = 0;
-  std::function<void(BlockCtx&)> body;
-  u32 blocksPerTask = 0;  ///< 0 = choose automatically
-  /// Telemetry name: the per-kernel metrics table and trace events
-  /// aggregate under it. Must be a string literal (not copied).
-  const char* name = "kernel";
-  /// The kernel's written bytes, as far as fault injection is concerned:
-  /// an armed FaultPlan flips bits here after the grid completes (the
-  /// soft-error model — memory damaged after the write retires, caught
-  /// only by a later read-back). Empty = this kernel is not a fault
-  /// target.
-  std::span<std::byte> faultTarget;
-};
-
 /// Deterministic fault-injection plan for a Launcher (soft-error model for
 /// the detect-and-retry policy in core::CompressorStream). Launches are
-/// numbered per Launcher instance in submission order (each kernel of a
-/// batch counts once); the plan fires on launch index `triggerLaunch`, or
-/// on every launch from it onward when `sticky` is set (for testing retry
-/// exhaustion).
+/// numbered per Launcher instance in submission order; the plan fires on
+/// launch index `triggerLaunch`, or on every launch from it onward when
+/// `sticky` is set (for testing retry exhaustion).
 struct FaultPlan {
   u64 seed = 1;
   u64 triggerLaunch = 0;
@@ -130,24 +108,19 @@ class Launcher {
   static ThreadPool& shared();
 
   /// Runs `body` once per block index in [0, gridSize). Consecutive blocks
-  /// are batched into tasks of `blocksPerTask` (0 = choose automatically);
-  /// batching preserves dispatch order and hence lookback progress.
-  /// `faultTarget` (optional) is the kernel's written bytes for fault
-  /// injection — see KernelDesc::faultTarget.
+  /// are grouped into tasks of `blocksPerTask` (0 = choose automatically);
+  /// grouping preserves dispatch order and hence lookback progress.
+  /// `faultTarget` (optional) is the kernel's written bytes, as far as
+  /// fault injection is concerned: an armed FaultPlan flips bits there
+  /// after the grid completes (the soft-error model — memory damaged after
+  /// the write retires, caught only by a later read-back). `name` keys the
+  /// per-kernel metrics table and trace events; it must be a string
+  /// literal (it is not copied).
   LaunchResult launch(u32 gridSize,
                       const std::function<void(BlockCtx&)>& body,
                       u32 blocksPerTask = 0,
                       std::span<std::byte> faultTarget = {},
                       const char* name = "kernel");
-
-  /// Dispatches several independent grids through one completion latch and
-  /// one task-submission pass, amortizing dispatch overhead the way CUDA
-  /// streams amortize kernel launches. Counters are reduced per kernel;
-  /// wallSeconds of every result is the whole batch's wall time (the
-  /// kernels run interleaved, so per-kernel wall time is not observable).
-  /// A failing block aborts the whole batch; the first exception is
-  /// rethrown after all tasks drain.
-  std::vector<LaunchResult> launchBatch(std::span<const KernelDesc> kernels);
 
   usize workerCount() const { return pool_->workerCount(); }
 
@@ -181,35 +154,22 @@ class Launcher {
   void setTimingModel(const TimingModel* timing) { timing_ = timing; }
 
  private:
-  struct KernelRef {
-    u32 gridSize = 0;
-    const std::function<void(BlockCtx&)>* body = nullptr;
-    u32 blocksPerTask = 0;
-    std::span<std::byte> faultTarget;
-    const char* name = "kernel";
-  };
-
   bool faultActive(u64 launchIdx) const;
   void injectWriteFaults(u64 launchIdx, std::span<std::byte> target,
                          LaunchResult& result) const;
 
-  /// Telemetry sink for the finished kernels of one launch()/launchBatch()
-  /// call. When a trace session is active every kernel emits its own
-  /// complete event with mem/sync/fault/modelled-timing args; the
-  /// per-kernel metrics table, however, accumulates same-named kernels of
-  /// one batch as a SINGLE fused launch (launches += 1, bytes and modelled
-  /// time summed) — the batch is one dispatch as far as launch overhead is
-  /// concerned, which is what the service layer's batching scheduler
-  /// amortizes. No-op (one relaxed load each) when both sinks are off.
-  void noteLaunches(std::span<const KernelRef> kernels,
-                    std::span<const LaunchResult> results) const;
+  /// Telemetry sink for one finished launch: accumulates into the
+  /// per-kernel metrics table and, when a trace session is active, emits
+  /// one complete event with mem/sync/fault/modelled-timing args. No-op
+  /// (one relaxed load each) when both sinks are off.
+  void noteLaunch(const char* name, const LaunchResult& result) const;
 
-  /// Emits one complete trace event for a finished kernel.
-  void noteLaunchTrace(telemetry::TraceSession& session, const char* name,
-                       const LaunchResult& result, f64 modelled) const;
-
-  std::vector<LaunchResult> runKernels(std::span<const KernelRef> kernels);
-  std::vector<LaunchResult> runKernelsInline(std::span<const KernelRef> kernels);
+  /// Runs every block of the grid on the pool and reduces the counters.
+  void runOnPool(u32 gridSize, const std::function<void(BlockCtx&)>& body,
+                 u32 blocksPerTask, bool fault, LaunchResult& result);
+  /// Runs every block of the grid on the calling thread (nested launches).
+  void runInline(u32 gridSize, const std::function<void(BlockCtx&)>& body,
+                 bool fault, LaunchResult& result);
 
   ThreadPool* pool_;
   std::optional<FaultPlan> faultPlan_;

@@ -244,37 +244,6 @@ void ArchiveWriter::addField(const std::string& name, ConstByteSpan stream) {
       {name, std::vector<std::byte>(stream.begin(), stream.end())});
 }
 
-template <FloatingPoint T>
-std::vector<core::Compressed> ArchiveWriter::addFieldsCompressed(
-    core::CompressorStream& stream, std::span<const std::string> names,
-    std::span<const std::span<const T>> fields) {
-  require(names.size() == fields.size(),
-          "ArchiveWriter: one name per field required");
-  // Validate every name up front so a mid-batch failure cannot leave a
-  // partially-added batch behind.
-  for (usize i = 0; i < names.size(); ++i) {
-    require(!names[i].empty(), "ArchiveWriter: field name must be non-empty");
-    require(names[i].size() <= 4096, "ArchiveWriter: field name too long");
-    require(!hasField(names[i]), "ArchiveWriter: duplicate field " + names[i]);
-    for (usize j = i + 1; j < names.size(); ++j) {
-      require(names[i] != names[j],
-              "ArchiveWriter: duplicate field " + names[i]);
-    }
-  }
-  std::vector<core::Compressed> results = stream.compressBatch(fields);
-  for (usize i = 0; i < names.size(); ++i) {
-    fields_.push_back({names[i], results[i].stream});
-  }
-  return results;
-}
-
-template std::vector<core::Compressed> ArchiveWriter::addFieldsCompressed<f32>(
-    core::CompressorStream&, std::span<const std::string>,
-    std::span<const std::span<const f32>>);
-template std::vector<core::Compressed> ArchiveWriter::addFieldsCompressed<f64>(
-    core::CompressorStream&, std::span<const std::string>,
-    std::span<const std::span<const f64>>);
-
 bool ArchiveWriter::hasField(const std::string& name) const {
   return std::any_of(fields_.begin(), fields_.end(),
                      [&](const Field& f) { return f.name == name; });

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/stream.hpp"
 
 namespace cuszp2::io {
 
@@ -99,17 +98,6 @@ class ArchiveWriter {
  public:
   /// Adds a field; names must be unique and non-empty.
   void addField(const std::string& name, ConstByteSpan stream);
-
-  /// Compresses several same-precision fields through one batched launch
-  /// on `stream` (one latch, one task-submission pass — see
-  /// core::CompressorStream::compressBatch) and adds each resulting
-  /// cuSZp2 stream under the matching name. `names` and `fields` must have
-  /// equal size; name rules are as for addField. Returns the per-field
-  /// compression results (profile, ratio) in input order.
-  template <FloatingPoint T>
-  std::vector<core::Compressed> addFieldsCompressed(
-      core::CompressorStream& stream, std::span<const std::string> names,
-      std::span<const std::span<const T>> fields);
 
   bool hasField(const std::string& name) const;
   usize fieldCount() const { return fields_.size(); }

@@ -124,9 +124,6 @@ struct JobResult {
   /// jobs. Per tenant these are strictly increasing in submission order —
   /// the FIFO-lane guarantee tests assert.
   u64 dispatchSeq = 0;
-  /// Jobs coalesced into the fused launch that served this job (1 = ran
-  /// alone).
-  u32 batchJobs = 0;
   /// Worker index and its device-affine placement.
   u32 worker = 0;
   std::string device;
@@ -192,14 +189,10 @@ struct Job {
   u64 dispatchSeq = 0;
 
   std::atomic<Phase> phase{Phase::Queued};
-  /// Dispatch attempts started (incremented as a batch begins executing).
+  /// Dispatch attempts started (incremented as an execution begins).
   std::atomic<u32> attempt{0};
   /// Watchdog recoveries performed on this job.
   std::atomic<u32> recoveries{0};
-  /// Set (under the scheduler mutex) when a failed or recovered job is
-  /// requeued: it must run alone, so one poisoned job cannot re-fail a
-  /// whole batch on its retry.
-  bool soloOnly = false;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -212,16 +205,6 @@ struct Job {
   /// contract (the hook swallows journal errors): a lost resolve only
   /// re-executes the job at the next recovery.
   std::function<void(u64 jobId, Outcome outcome)> durableResolve;
-
-  /// True when two jobs can share one fused launch (compressBatch or
-  /// decompressBatchRaw): same operation, element type, and codec
-  /// configuration. Per-field error bounds, headers and payloads are
-  /// derived independently inside the batch, so coalescing never changes
-  /// a job's output bytes.
-  bool batchableWith(const Job& o) const {
-    return kind == o.kind && !soloOnly && !o.soloOnly &&
-           precision == o.precision && config == o.config;
-  }
 
   /// Commits the result; returns true iff this call won (first
   /// publication). A watchdog-recovered job can race its own relaunched

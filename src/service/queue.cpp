@@ -66,37 +66,6 @@ std::shared_ptr<Job> TenantLanes::pop() {
   }
 }
 
-void TenantLanes::popBatch(const Job& head,
-                           std::vector<std::shared_ptr<Job>>& batch,
-                           usize maxExtraJobs, u64 maxBatchBytes) {
-  if (lanes_.empty() || maxExtraJobs == 0) return;
-  u64 batchBytes = head.input.size();
-  usize taken = 0;
-  for (usize step = 0; step < lanes_.size() && taken < maxExtraJobs;
-       ++step) {
-    Lane& lane = lanes_[(cursor_ + step) % lanes_.size()];
-    // Longest batchable prefix of this lane; stopping at the first
-    // incompatible job keeps the lane's FIFO order intact.
-    for (;;) {
-      reapFront(lane.jobs);
-      if (lane.jobs.empty() || taken >= maxExtraJobs) break;
-      const std::shared_ptr<Job>& front = lane.jobs.front();
-      if (!head.batchableWith(*front)) break;
-      if (batchBytes + front->input.size() > maxBatchBytes) break;
-      std::shared_ptr<Job> job = front;
-      lane.jobs.pop_front();
-      --entries_;
-      Phase expected = Phase::Queued;
-      if (!job->phase.compare_exchange_strong(expected, Phase::Running)) {
-        continue;  // canceled under us: tombstone, keep scanning the lane
-      }
-      batchBytes += job->input.size();
-      ++taken;
-      batch.push_back(std::move(job));
-    }
-  }
-}
-
 std::vector<std::shared_ptr<Job>> TenantLanes::drain() {
   std::vector<std::shared_ptr<Job>> out;
   for (Lane& lane : lanes_) {

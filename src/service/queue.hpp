@@ -1,7 +1,6 @@
 // Tenant-lane job queue of the compression service: one FIFO deque per
-// tenant, a priority-then-round-robin scheduling pick, and batch
-// coalescing that only ever removes lane *prefixes* so per-tenant FIFO
-// order survives batching.
+// tenant and a priority-then-round-robin scheduling pick that only ever
+// takes lane heads, so per-tenant FIFO order holds.
 //
 // Not thread-safe by itself — the owning CompressionService serializes all
 // access under its scheduler mutex. Canceled jobs — and Done jobs whose
@@ -32,14 +31,6 @@ class TenantLanes {
   /// been transitioned Queued -> Running. Returns nullptr when nothing
   /// runnable remains (tombstones are reaped along the way).
   std::shared_ptr<Job> pop();
-
-  /// Coalesces up to `maxExtraJobs` additional jobs compatible with `head`
-  /// (Job::batchableWith) into `batch`, bounded by `maxBatchBytes` of
-  /// total input (head included). Only lane prefixes are taken, scanning
-  /// tenants in round-robin order, so each tenant's FIFO order is
-  /// preserved. Appended jobs are transitioned Queued -> Running.
-  void popBatch(const Job& head, std::vector<std::shared_ptr<Job>>& batch,
-                usize maxExtraJobs, u64 maxBatchBytes);
 
   /// Removes and returns every queued job (shutdown drain). Tombstones are
   /// dropped; returned jobs are transitioned Queued -> Running so the

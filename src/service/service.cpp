@@ -27,6 +27,47 @@ const char* chaosModeName(ChaosFault::Mode mode) {
   }
 }
 
+/// Decodes a stream into a job result as raw little-endian element bytes.
+template <FloatingPoint T>
+void decodeInto(core::CompressorStream& stream, ConstByteSpan input,
+                JobResult& result) {
+  core::Decompressed<T> out = stream.decompress<T>(input);
+  result.decodedElements = out.data.size();
+  result.decompressProfile = out.profile;
+  result.decompressed.resize(out.data.size() * sizeof(T));
+  if (!out.data.empty()) {
+    std::memcpy(result.decompressed.data(), out.data.data(),
+                result.decompressed.size());
+  }
+}
+
+template <FloatingPoint T>
+core::Compressed compressJob(core::CompressorStream& stream,
+                             const detail::Job& job) {
+  return stream.compress<T>(std::span<const T>(
+      reinterpret_cast<const T*>(job.input.data()),
+      job.input.size() / sizeof(T)));
+}
+
+/// One job through the worker stream's single compress or decompress
+/// launch. Codec errors propagate to execute()'s retry ladder.
+void runJob(const detail::Job& job, core::CompressorStream& stream,
+            JobResult& result) {
+  stream.reconfigure(job.config);
+  if (job.kind == JobKind::Compress) {
+    result.compressed = job.precision == Precision::F32
+                            ? compressJob<f32>(stream, job)
+                            : compressJob<f64>(stream, job);
+  } else if (core::StreamHeader::parse(job.input).precision ==
+             Precision::F32) {
+    decodeInto<f32>(stream, job.input, result);
+  } else {
+    decodeInto<f64>(stream, job.input, result);
+  }
+  result.ok = true;
+  result.outcome = Outcome::Completed;
+}
+
 }  // namespace
 
 CompressionService::CompressionService(ServiceConfig config)
@@ -34,10 +75,6 @@ CompressionService::CompressionService(ServiceConfig config)
   require(config_.workers > 0, "ServiceConfig: workers must be positive");
   require(config_.maxQueueDepth > 0,
           "ServiceConfig: maxQueueDepth must be positive");
-  require(config_.maxBatchJobs > 0,
-          "ServiceConfig: maxBatchJobs must be positive");
-  require(config_.maxBatchBytes > 0,
-          "ServiceConfig: maxBatchBytes must be positive");
   require(config_.retry.maxAttempts > 0,
           "ServiceConfig: retry.maxAttempts must be positive");
   require(!config_.watchdog.enabled || config_.watchdog.pollMillis > 0,
@@ -61,17 +98,14 @@ CompressionService::CompressionService(ServiceConfig config)
       &reg.counter("service.rejected.quota"),
       &reg.counter("service.rejected.shutdown"),
       &reg.counter("service.rejected.circuit_open"),
-      &reg.counter("service.batches"),
       &reg.counter("service.jobs_dispatched"),
       &reg.counter("service.watchdog.recoveries"),
       &reg.counter("service.retry.attempts"),
       &reg.counter("service.retry.exhausted"),
-      &reg.counter("service.batch_splits"),
       &reg.counter("service.breaker.opens"),
       &reg.counter("service.chaos.injected"),
       &reg.histogram("service.wait_us"),
       &reg.histogram("service.service_us"),
-      &reg.histogram("service.batch_jobs"),
   };
   ledger_->depthGauge = &reg.gauge("service.queue_depth");
 
@@ -429,13 +463,12 @@ ServiceStats CompressionService::stats() const {
   s.abandoned = statAbandoned_.load(std::memory_order_relaxed);
   s.degraded = statDegraded_.load(std::memory_order_relaxed);
   s.dispatched = statDispatched_.load(std::memory_order_relaxed);
-  s.batches = statBatches_.load(std::memory_order_relaxed);
+  s.batches = s.dispatched;
   s.watchdogRecoveries =
       statWatchdogRecoveries_.load(std::memory_order_relaxed);
   s.retries = statRetries_.load(std::memory_order_relaxed);
   s.retriesExhausted =
       statRetriesExhausted_.load(std::memory_order_relaxed);
-  s.batchSplits = statBatchSplits_.load(std::memory_order_relaxed);
   s.breakerOpens = statBreakerOpens_.load(std::memory_order_relaxed);
   s.chaosInjected = statChaosInjected_.load(std::memory_order_relaxed);
   s.streamFaultsDetected =
@@ -483,33 +516,26 @@ bool CompressionService::eraseObject(const std::string& tenant,
 
 void CompressionService::workerLoop(u32 worker) {
   // Each worker owns one warm stream pinned to its device; reconfigure()
-  // per batch re-targets the codec without dropping the scratch arena.
+  // per job re-targets the codec without dropping the scratch arena.
   core::CompressorStream stream(core::Config{},
                                 devices_[worker % devices_.size()]);
   // In-stream fault counters are cumulative per stream; fold the deltas
-  // into the service-wide totals after every batch.
+  // into the service-wide totals after every job.
   u64 seenFaultsDetected = 0;
   u64 seenFaultRelaunches = 0;
   for (;;) {
-    std::vector<std::shared_ptr<detail::Job>> batch;
+    std::shared_ptr<detail::Job> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       workCv_.wait(lock, [&] {
         return stopping_ || (!paused_ && lanes_.entries() > 0);
       });
       if (stopping_) return;
-      std::shared_ptr<detail::Job> head = lanes_.pop();
-      if (head == nullptr) continue;  // only tombstones were queued
-      batch.push_back(std::move(head));
-      if (config_.maxBatchJobs > 1) {
-        lanes_.popBatch(*batch[0], batch, config_.maxBatchJobs - 1,
-                        config_.maxBatchBytes);
-      }
-      for (std::shared_ptr<detail::Job>& job : batch) {
-        job->dispatchSeq = ++dispatchSeq_;
-      }
+      job = lanes_.pop();
+      if (job == nullptr) continue;  // only tombstones were queued
+      job->dispatchSeq = ++dispatchSeq_;
     }
-    execute(batch, stream, worker);
+    execute(job, stream, worker);
     const u64 detected = stream.faultsDetected();
     const u64 relaunches = stream.faultRelaunches();
     statStreamFaultsDetected_.fetch_add(detected - seenFaultsDetected,
@@ -521,49 +547,34 @@ void CompressionService::workerLoop(u32 worker) {
   }
 }
 
-void CompressionService::execute(
-    std::vector<std::shared_ptr<detail::Job>>& batch,
-    core::CompressorStream& stream, u32 worker) {
+void CompressionService::execute(const std::shared_ptr<detail::Job>& job,
+                                 core::CompressorStream& stream,
+                                 u32 worker) {
   const auto dispatched = std::chrono::steady_clock::now();
-  for (const std::shared_ptr<detail::Job>& job : batch) {
-    job->attempt.fetch_add(1, std::memory_order_relaxed);
-  }
-  statDispatched_.fetch_add(batch.size(), std::memory_order_relaxed);
-  statBatches_.fetch_add(1, std::memory_order_relaxed);
-  instruments_.jobsDispatched->add(batch.size());
-  instruments_.batches->add(1);
-  instruments_.batchJobs->record(batch.size());
+  job->attempt.fetch_add(1, std::memory_order_relaxed);
+  statDispatched_.fetch_add(1, std::memory_order_relaxed);
+  instruments_.jobsDispatched->add(1);
 
-  // Chaos: consult the hook for the head job and arm its fault plan on
+  // Chaos: consult the hook for this attempt and arm its fault plan on
   // this worker's stream for exactly this execution.
   if (config_.chaosHook) {
-    detail::Job& head = *batch[0];
     ChaosJobInfo info;
-    info.jobId = head.id;
-    info.tenant = head.tenant;
-    info.kind = head.kind;
-    info.inputBytes = head.input.size();
-    info.attempt = head.attempt.load(std::memory_order_relaxed) - 1;
+    info.jobId = job->id;
+    info.tenant = job->tenant;
+    info.kind = job->kind;
+    info.inputBytes = job->input.size();
+    info.attempt = job->attempt.load(std::memory_order_relaxed) - 1;
     armChaosFault(stream, config_.chaosHook(info));
   }
 
   if (config_.watchdog.enabled) {
-    watchdogWatch(batch, dispatched, stream.device());
+    watchdogWatch(job, dispatched, stream.device());
   }
 
-  std::vector<JobResult> results(batch.size());
+  JobResult r;
   std::string failure;
   try {
-    stream.reconfigure(batch[0]->config);
-    if (batch[0]->kind == JobKind::Compress) {
-      if (batch[0]->precision == Precision::F32) {
-        runCompress<f32>(batch, stream, results);
-      } else {
-        runCompress<f64>(batch, stream, results);
-      }
-    } else {
-      runDecompress(batch, stream, results);
-    }
+    runJob(*job, stream, r);
   } catch (const std::exception& e) {
     failure = e.what();
     if (failure.empty()) failure = "unknown codec error";
@@ -573,151 +584,42 @@ void CompressionService::execute(
   const auto finishedAt = std::chrono::steady_clock::now();
 
   if (!failure.empty()) {
-    if (batch.size() > 1) {
-      // Fault isolation: one poisoned job must not fail its batchmates.
-      // Requeue every member to run alone; the solo executions decide
-      // retry/degrade/fail per job.
-      statBatchSplits_.fetch_add(1, std::memory_order_relaxed);
-      instruments_.batchSplits->add(1);
-      if (telemetry::TraceSession* trace = telemetry::activeTrace()) {
-        trace->instant(
-            "service.batch_split",
-            {telemetry::TraceArg::num("jobs",
-                                      static_cast<f64>(batch.size()))});
-      }
-      for (std::shared_ptr<detail::Job>& job : batch) {
-        requeueSolo(job);
-      }
-      return;
-    }
-
-    detail::Job& job = *batch[0];
-    const u32 attempt = job.attempt.load(std::memory_order_relaxed);
+    const u32 attempt = job->attempt.load(std::memory_order_relaxed);
     if (attempt < config_.retry.maxAttempts) {
       statRetries_.fetch_add(1, std::memory_order_relaxed);
       instruments_.retries->add(1);
       if (telemetry::TraceSession* trace = telemetry::activeTrace()) {
         trace->instant(
             "service.retry",
-            {telemetry::TraceArg::str("tenant", job.tenant),
-             telemetry::TraceArg::num("job_id", static_cast<f64>(job.id)),
+            {telemetry::TraceArg::str("tenant", job->tenant),
+             telemetry::TraceArg::num("job_id", static_cast<f64>(job->id)),
              telemetry::TraceArg::num("attempt", attempt)});
       }
-      backoffSleep(job.id, attempt);
-      requeueSolo(batch[0]);
+      backoffSleep(job->id, attempt);
+      requeue(job);
       return;
     }
 
     statRetriesExhausted_.fetch_add(1, std::memory_order_relaxed);
     instruments_.retriesExhausted->add(1);
-    if (job.kind == JobKind::Decompress && config_.degradedDecode) {
-      runDegradedDecode(job, stream, results[0], failure);
+    if (job->kind == JobKind::Decompress && config_.degradedDecode) {
+      runDegradedDecode(*job, stream, r, failure);
     } else {
-      results[0] = JobResult{};
-      results[0].outcome = Outcome::Failed;
-      results[0].error = failure;
+      r = JobResult{};
+      r.outcome = Outcome::Failed;
+      r.error = failure;
     }
   }
 
-  for (usize i = 0; i < batch.size(); ++i) {
-    detail::Job& job = *batch[i];
-    JobResult& r = results[i];
-    r.tenant = job.tenant;
-    r.kind = job.kind;
-    r.jobId = job.id;
-    r.dispatchSeq = job.dispatchSeq;
-    r.batchJobs = static_cast<u32>(batch.size());
-    r.worker = worker;
-    r.device = stream.device().name;
-    r.waitUs = microsBetween(job.submitted, dispatched);
-    r.serviceUs = microsBetween(dispatched, finishedAt);
-    finishJob(job, std::move(r), /*abandoned=*/false);
-  }
-}
-
-template <FloatingPoint T>
-void CompressionService::runCompress(
-    std::vector<std::shared_ptr<detail::Job>>& batch,
-    core::CompressorStream& stream, std::vector<JobResult>& results) {
-  auto fieldOf = [](const detail::Job& job) {
-    return std::span<const T>(
-        reinterpret_cast<const T*>(job.input.data()),
-        job.input.size() / sizeof(T));
-  };
-  if (batch.size() == 1) {
-    results[0].compressed = stream.compress<T>(fieldOf(*batch[0]));
-    results[0].ok = true;
-    results[0].outcome = Outcome::Completed;
-    return;
-  }
-  std::vector<std::span<const T>> fields;
-  fields.reserve(batch.size());
-  for (const std::shared_ptr<detail::Job>& job : batch) {
-    fields.push_back(fieldOf(*job));
-  }
-  std::vector<core::Compressed> outs = stream.compressBatch<T>(fields);
-  for (usize i = 0; i < batch.size(); ++i) {
-    results[i].compressed = std::move(outs[i]);
-    results[i].ok = true;
-    results[i].outcome = Outcome::Completed;
-  }
-}
-
-template void CompressionService::runCompress<f32>(
-    std::vector<std::shared_ptr<detail::Job>>&, core::CompressorStream&,
-    std::vector<JobResult>&);
-template void CompressionService::runCompress<f64>(
-    std::vector<std::shared_ptr<detail::Job>>&, core::CompressorStream&,
-    std::vector<JobResult>&);
-
-void CompressionService::runDecompress(
-    std::vector<std::shared_ptr<detail::Job>>& batch,
-    core::CompressorStream& stream, std::vector<JobResult>& results) {
-  if (batch.size() == 1) {
-    detail::Job& job = *batch[0];
-    JobResult& result = results[0];
-    const core::StreamHeader header = core::StreamHeader::parse(job.input);
-    if (header.precision == Precision::F32) {
-      core::Decompressed<f32> out = stream.decompress<f32>(job.input);
-      result.decodedElements = out.data.size();
-      result.decompressProfile = out.profile;
-      result.decompressed.resize(out.data.size() * sizeof(f32));
-      if (!out.data.empty()) {
-        std::memcpy(result.decompressed.data(), out.data.data(),
-                    result.decompressed.size());
-      }
-    } else {
-      core::Decompressed<f64> out = stream.decompress<f64>(job.input);
-      result.decodedElements = out.data.size();
-      result.decompressProfile = out.profile;
-      result.decompressed.resize(out.data.size() * sizeof(f64));
-      if (!out.data.empty()) {
-        std::memcpy(result.decompressed.data(), out.data.data(),
-                    result.decompressed.size());
-      }
-    }
-    result.ok = true;
-    result.outcome = Outcome::Completed;
-    return;
-  }
-
-  // Fused decode: one launch for the whole batch. A corrupt member throws
-  // before any kernel runs; execute()'s batch-split path then requeues
-  // every member solo, preserving fault isolation.
-  std::vector<ConstByteSpan> streams;
-  streams.reserve(batch.size());
-  for (const std::shared_ptr<detail::Job>& job : batch) {
-    streams.emplace_back(job->input.data(), job->input.size());
-  }
-  std::vector<core::DecompressedRaw> outs =
-      stream.decompressBatchRaw(streams);
-  for (usize i = 0; i < batch.size(); ++i) {
-    results[i].decodedElements = outs[i].elements;
-    results[i].decompressProfile = outs[i].profile;
-    results[i].decompressed = std::move(outs[i].data);
-    results[i].ok = true;
-    results[i].outcome = Outcome::Completed;
-  }
+  r.tenant = job->tenant;
+  r.kind = job->kind;
+  r.jobId = job->id;
+  r.dispatchSeq = job->dispatchSeq;
+  r.worker = worker;
+  r.device = stream.device().name;
+  r.waitUs = microsBetween(job->submitted, dispatched);
+  r.serviceUs = microsBetween(dispatched, finishedAt);
+  finishJob(*job, std::move(r), /*abandoned=*/false);
 }
 
 namespace {
@@ -804,7 +706,6 @@ void CompressionService::finishJob(detail::Job& job, JobResult result,
   const bool ok = result.ok;
   const f64 waitUs = result.waitUs;
   const f64 serviceUs = result.serviceUs;
-  const u32 batchJobs = result.batchJobs;
 
   // Exactly-once commit: when a watchdog-recovered twin (or a racing
   // cancel) already published, this execution's result is discarded and
@@ -852,7 +753,6 @@ void CompressionService::finishJob(detail::Job& job, JobResult result,
          telemetry::TraceArg::str("kind", toString(job.kind)),
          telemetry::TraceArg::str("outcome", toString(outcome)),
          telemetry::TraceArg::num("job_id", static_cast<f64>(job.id)),
-         telemetry::TraceArg::num("batch_jobs", batchJobs),
          telemetry::TraceArg::num("wait_us", waitUs),
          telemetry::TraceArg::num("ok", ok ? 1.0 : 0.0)});
   }
@@ -899,7 +799,7 @@ void CompressionService::armChaosFault(core::CompressorStream& stream,
   }
 }
 
-void CompressionService::requeueSolo(std::shared_ptr<detail::Job> job) {
+void CompressionService::requeue(std::shared_ptr<detail::Job> job) {
   detail::Phase expected = detail::Phase::Running;
   if (!job->phase.compare_exchange_strong(expected,
                                           detail::Phase::Queued)) {
@@ -915,7 +815,6 @@ void CompressionService::requeueOrAbandon(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!requeuesAbandon_) {
-      job->soloOnly = true;
       lanes_.push(std::move(job));
       workCv_.notify_one();
       return;
@@ -965,13 +864,11 @@ std::chrono::milliseconds CompressionService::jobTimeout(
 }
 
 void CompressionService::watchdogWatch(
-    const std::vector<std::shared_ptr<detail::Job>>& batch,
+    const std::shared_ptr<detail::Job>& job,
     std::chrono::steady_clock::time_point dispatched,
     const gpusim::DeviceSpec& device) {
   std::lock_guard<std::mutex> lock(watchdogMutex_);
-  for (const std::shared_ptr<detail::Job>& job : batch) {
-    inFlight_[job->id] = InFlight{job, dispatched + jobTimeout(*job, device)};
-  }
+  inFlight_[job->id] = InFlight{job, dispatched + jobTimeout(*job, device)};
 }
 
 void CompressionService::watchdogForget(u64 jobId) {

@@ -5,11 +5,9 @@
 // core::CompressorStream. Clients submit compress/decompress jobs tagged
 // with a tenant id and receive an async Ticket; a lock-guarded scheduler
 // with one FIFO lane per tenant picks the next job by priority then
-// round-robin (no tenant can starve another at equal priority), and a
-// batching pass coalesces small compatible compress jobs — same Config,
-// same precision — into a single fused compressBatch launch, which the
-// kernel telemetry table accounts as ONE launch (the amortization the
-// service exists to win). Output bytes per job are identical to a serial
+// round-robin (no tenant can starve another at equal priority). Each
+// dispatch runs one job through the worker stream's single compress or
+// decompress launch, so output bytes per job are identical to a serial
 // CompressorStream call with the same Config.
 //
 // Admission control sheds load instead of blocking: submissions beyond
@@ -31,9 +29,9 @@
 // harnesses (tools/chaos_soak, `serve --chaos-seed`) inject seeded
 // gpusim faults per dispatch attempt.
 //
-// Observability: queue-depth gauge, wait/service-time and batch-size
-// histograms, per-tenant counters (see docs/SERVICE.md for the name
-// catalogue) and one trace span per job when a TraceSession is active.
+// Observability: queue-depth gauge, wait/service-time histograms,
+// per-tenant counters (see docs/SERVICE.md for the name catalogue) and
+// one trace span per job when a TraceSession is active.
 #pragma once
 
 #include <cstring>
@@ -142,11 +140,11 @@ struct ChaosJobInfo {
   u32 attempt = 0;
 };
 
-/// Consulted once per dispatched batch (for its head job) when set; the
-/// returned fault is armed on the executing worker's stream for exactly
-/// that execution. Must be a pure function of its input for reproducible
-/// chaos runs (see SeededChaosSchedule in service/chaos.hpp). Called
-/// concurrently from worker threads.
+/// Consulted once per dispatch attempt when set; the returned fault is
+/// armed on the executing worker's stream for exactly that execution.
+/// Must be a pure function of its input for reproducible chaos runs (see
+/// SeededChaosSchedule in service/chaos.hpp). Called concurrently from
+/// worker threads.
 using ChaosHook = std::function<ChaosFault(const ChaosJobInfo&)>;
 
 struct ServiceConfig {
@@ -160,12 +158,6 @@ struct ServiceConfig {
 
   /// Outstanding input bytes allowed per tenant (0 = unlimited).
   u64 tenantQuotaBytes = 0;
-
-  /// Jobs a single fused launch may serve (1 disables coalescing).
-  u32 maxBatchJobs = 8;
-
-  /// Total input bytes a fused launch may cover (bounds staging growth).
-  u64 maxBatchBytes = u64{64} << 20;
 
   /// Device-affine worker placement; empty = homogeneousFleet of A100s,
   /// one per worker.
@@ -223,7 +215,8 @@ struct ServiceStats {
   u64 abandoned = 0;  ///< queued past the shutdown deadline
   u64 degraded = 0;   ///< resolved via the decompressResilient fallback
   u64 dispatched = 0; ///< jobs handed to a worker
-  u64 batches = 0;    ///< fused launches (execute() passes)
+  /// execute() passes. Each runs one job, so this equals `dispatched`.
+  u64 batches = 0;
   usize queueDepth = 0;  ///< admitted-but-unfinished right now
 
   // Fault-tolerance counters. Deterministic for a fixed chaos seed and
@@ -231,16 +224,10 @@ struct ServiceStats {
   u64 watchdogRecoveries = 0;  ///< hung jobs requeued by the watchdog
   u64 retries = 0;             ///< failed executions requeued for retry
   u64 retriesExhausted = 0;    ///< jobs that burned every attempt
-  u64 batchSplits = 0;         ///< failed batches split into solo retries
   u64 breakerOpens = 0;        ///< circuit-open transitions (incl. reopens)
   u64 chaosInjected = 0;       ///< faults armed by the chaos hook
   u64 streamFaultsDetected = 0;   ///< in-stream detections (all workers)
   u64 streamFaultRelaunches = 0;  ///< in-stream relaunches (all workers)
-
-  /// Launches the batching scheduler saved versus one launch per job.
-  u64 launchesSaved() const {
-    return dispatched >= batches ? dispatched - batches : 0;
-  }
 };
 
 class CompressionService {
@@ -279,7 +266,7 @@ class CompressionService {
   }
 
   /// Stops/resumes dispatch (submissions stay open). Paused + submit-all +
-  /// resume gives deterministic batch formation.
+  /// resume gives a deterministic dispatch order.
   void pause();
   void resume();
 
@@ -354,17 +341,14 @@ class CompressionService {
     telemetry::Counter* rejectedQuota;
     telemetry::Counter* rejectedShutdown;
     telemetry::Counter* rejectedCircuitOpen;
-    telemetry::Counter* batches;
     telemetry::Counter* jobsDispatched;
     telemetry::Counter* watchdogRecoveries;
     telemetry::Counter* retries;
     telemetry::Counter* retriesExhausted;
-    telemetry::Counter* batchSplits;
     telemetry::Counter* breakerOpens;
     telemetry::Counter* chaosInjected;
     telemetry::Histogram* waitUs;
     telemetry::Histogram* serviceUs;
-    telemetry::Histogram* batchJobs;
   };
 
   /// Per-tenant circuit breaker record (under breakerMutex_).
@@ -399,15 +383,8 @@ class CompressionService {
   bool shutdownImpl(std::optional<std::chrono::milliseconds> deadline);
 
   void workerLoop(u32 worker);
-  void execute(std::vector<std::shared_ptr<detail::Job>>& batch,
+  void execute(const std::shared_ptr<detail::Job>& job,
                core::CompressorStream& stream, u32 worker);
-  template <FloatingPoint T>
-  void runCompress(std::vector<std::shared_ptr<detail::Job>>& batch,
-                   core::CompressorStream& stream,
-                   std::vector<JobResult>& results);
-  void runDecompress(std::vector<std::shared_ptr<detail::Job>>& batch,
-                     core::CompressorStream& stream,
-                     std::vector<JobResult>& results);
   void runDegradedDecode(detail::Job& job, core::CompressorStream& stream,
                          JobResult& result, const std::string& failure);
   void finishJob(detail::Job& job, JobResult result, bool abandoned);
@@ -415,14 +392,16 @@ class CompressionService {
   // Fault-tolerance machinery.
   void armChaosFault(core::CompressorStream& stream,
                      const ChaosFault& fault);
-  void requeueSolo(std::shared_ptr<detail::Job> job);
+  /// Moves a failed job Running -> Queued and requeues it (no-op when
+  /// the watchdog's twin already owns it).
+  void requeue(std::shared_ptr<detail::Job> job);
   /// Requeues a job whose phase the caller already moved back to Queued,
   /// or — once the shutdown drain has abandoned the lanes — resolves it
   /// as Outcome::Abandoned instead of re-entering the queue.
   void requeueOrAbandon(std::shared_ptr<detail::Job> job);
   void backoffSleep(u64 jobId, u32 attempt) const;
   void watchdogLoop();
-  void watchdogWatch(const std::vector<std::shared_ptr<detail::Job>>& batch,
+  void watchdogWatch(const std::shared_ptr<detail::Job>& job,
                      std::chrono::steady_clock::time_point dispatched,
                      const gpusim::DeviceSpec& device);
   void watchdogForget(u64 jobId);
@@ -489,11 +468,9 @@ class CompressionService {
   std::atomic<u64> statAbandoned_{0};
   std::atomic<u64> statDegraded_{0};
   std::atomic<u64> statDispatched_{0};
-  std::atomic<u64> statBatches_{0};
   std::atomic<u64> statWatchdogRecoveries_{0};
   std::atomic<u64> statRetries_{0};
   std::atomic<u64> statRetriesExhausted_{0};
-  std::atomic<u64> statBatchSplits_{0};
   std::atomic<u64> statBreakerOpens_{0};
   std::atomic<u64> statChaosInjected_{0};
   std::atomic<u64> statStreamFaultsDetected_{0};

@@ -119,20 +119,19 @@ TEST(Allreduce, Validation) {
 }
 
 TEST(Allreduce, StreamCodecMatchesPerChunkCodec) {
-  // The stream-holding codec batches each ring step's P sends through one
-  // launch; the reduced vector and wire bytes must match the per-chunk
-  // one-shot codec exactly (compressBatch is byte-identical to compress).
+  // The stream-holding codec reuses one warm stream across hops; the
+  // reduced vector and wire bytes must match the one-shot codec exactly.
   const f64 eb = 1e-4;
   const auto grads = makeGradients(4, 4096, 11);
   const RingAllreduce ring(4, LinkSpec{});
   const auto perChunk = ring.run(grads, cuszp2Codec(eb), eb);
-  const auto batched = ring.run(grads, cuszp2StreamCodec(eb), eb);
-  EXPECT_EQ(batched.wireBytes, perChunk.wireBytes);
-  ASSERT_EQ(batched.reduced.size(), perChunk.reduced.size());
+  const auto streamed = ring.run(grads, cuszp2StreamCodec(eb), eb);
+  EXPECT_EQ(streamed.wireBytes, perChunk.wireBytes);
+  ASSERT_EQ(streamed.reduced.size(), perChunk.reduced.size());
   for (usize i = 0; i < perChunk.reduced.size(); ++i) {
-    ASSERT_EQ(batched.reduced[i], perChunk.reduced[i]) << i;
+    ASSERT_EQ(streamed.reduced[i], perChunk.reduced[i]) << i;
   }
-  EXPECT_DOUBLE_EQ(batched.errorBound, eb * 4);
+  EXPECT_DOUBLE_EQ(streamed.errorBound, eb * 4);
 }
 
 TEST(Allreduce, WireBytesAccountsAllHops) {

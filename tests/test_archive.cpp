@@ -141,44 +141,6 @@ TEST(Archive, CompressedDatasetRoundTrip) {
   }
 }
 
-// Batched helper: one compressBatch launch per addFieldsCompressed call,
-// streams byte-identical to per-field addField + compress.
-TEST(Archive, AddFieldsCompressedMatchesPerField) {
-  core::Config cfg;
-  cfg.absErrorBound = 1e-3;
-  core::CompressorStream stream(cfg);
-  const core::Compressor oneShot(cfg);
-
-  std::vector<std::vector<f32>> fields;
-  std::vector<std::string> names;
-  std::vector<std::span<const f32>> views;
-  for (u32 f = 0; f < 3; ++f) {
-    fields.push_back(datagen::generateF32("hacc", f, 4096 + 17 * f));
-    names.push_back(datagen::haccFieldNames()[f]);
-    views.emplace_back(fields.back());
-  }
-
-  ArchiveWriter w;
-  const auto results = w.addFieldsCompressed<f32>(stream, names, views);
-  ASSERT_EQ(results.size(), 3u);
-  const auto archive = w.finalize();
-
-  ArchiveReader r(archive);
-  for (u32 f = 0; f < 3; ++f) {
-    const auto expected = oneShot.compress<f32>(views[f]).stream;
-    const auto got = r.field(names[f]);
-    ASSERT_EQ(got.size(), expected.size()) << "field " << f;
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
-        << "field " << f;
-  }
-
-  // Duplicate or mismatched names are rejected before anything is added.
-  EXPECT_THROW(w.addFieldsCompressed<f32>(stream, names, views), Error);
-  std::vector<std::string> tooFew(names.begin(), names.end() - 1);
-  EXPECT_THROW(w.addFieldsCompressed<f32>(stream, tooFew, views), Error);
-  EXPECT_EQ(w.fieldCount(), 3u);
-}
-
 // ---- XOR parity trailer ----------------------------------------------------
 
 // Small chunks so a modest archive spans several parity groups.

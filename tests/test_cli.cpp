@@ -184,6 +184,34 @@ TEST_F(CliTest, VerifyIntegrityOnlyForm) {
   EXPECT_NE(lastLog().find("quarantined"), std::string::npos);
 }
 
+// `profile` reports the ratio of the very stream `compress` writes, for
+// every integrity-flag combination and both writers.
+TEST_F(CliTest, ProfileRatioMatchesCompressRatio) {
+  const auto ratioIn = [](const std::string& log) {
+    const usize at = log.find("ratio: ");
+    if (at == std::string::npos) return std::string();
+    const usize first = at + 7;
+    return log.substr(first,
+                      log.find_first_not_of("0123456789.", first) - first);
+  };
+  for (const char* integrity :
+       {"", " --checksum", " --block-checksum",
+        " --checksum --block-checksum"}) {
+    for (const char* pipeline : {"", " --pipeline auto"}) {
+      const std::string flags =
+          std::string(" --rel 1e-3") + integrity + pipeline;
+      ASSERT_EQ(run("compress " + file("in.f32") + " " + file("r.czp2") +
+                    flags),
+                0)
+          << lastLog();
+      const std::string compressRatio = ratioIn(lastLog());
+      ASSERT_FALSE(compressRatio.empty()) << flags;
+      ASSERT_EQ(run("profile " + file("in.f32") + flags), 0) << lastLog();
+      EXPECT_EQ(ratioIn(lastLog()), compressRatio) << flags;
+    }
+  }
+}
+
 TEST_F(CliTest, SalvageDecompressRecoversDamagedStream) {
   ASSERT_EQ(run("compress " + file("in.f32") + " " + file("out.czp2") +
                 " --abs 0.01 --block-checksum"),
@@ -266,17 +294,9 @@ TEST_F(CliTest, ServeRunsManifestAndPrintsTenantSummary) {
   for (const char* tenant : {"climate", "physics", "fluids", "tiny"}) {
     EXPECT_NE(log.find(tenant), std::string::npos) << tenant;
   }
-  // Paused-start submission makes coalescing deterministic: the 10
-  // rel=1e-3 jobs share a Config and must fuse, so savings are certain.
-  EXPECT_NE(log.find("fused launches"), std::string::npos);
-  EXPECT_EQ(log.find("(0 launches saved)"), std::string::npos);
+  // One dispatch per job.
+  EXPECT_NE(log.find("scheduler: 12 jobs dispatched"), std::string::npos);
   EXPECT_NE(log.find("per-kernel summary:"), std::string::npos);
-
-  // Same manifest with batching off: one launch per job, nothing saved.
-  ASSERT_EQ(run("serve --jobs " + file("jobs.txt") + " --unbatched"), 0)
-      << lastLog();
-  EXPECT_NE(lastLog().find("12 jobs in 12 fused launches (0 launches saved)"),
-            std::string::npos);
 
   // Unknown dataset in the manifest is an operational error.
   io::writeBytes(file("bad.txt"), [] {
@@ -300,7 +320,7 @@ TEST_F(CliTest, ServeChaosSeedDrillResolvesEveryJob) {
   // Seeded fault drill: injected faults must be absorbed by retries, the
   // watchdog and in-stream relaunches — exit 0, no failed jobs.
   ASSERT_EQ(run("serve --jobs " + file("jobs.txt") +
-                " --workers 2 --unbatched --chaos-seed 7"),
+                " --workers 2 --chaos-seed 7"),
             0)
       << lastLog();
   const std::string log = lastLog();

@@ -511,7 +511,6 @@ std::vector<std::byte> fieldBytes(const std::vector<f32>& v) {
 service::ServiceConfig durableConfig(const std::string& jnl) {
   service::ServiceConfig sc;
   sc.workers = 1;
-  sc.maxBatchJobs = 1;
   sc.startPaused = true;
   sc.jobJournalPath = jnl;
   return sc;
@@ -630,7 +629,6 @@ TEST(ClusterDurability, ShardRecoversJournalBeforeJoining) {
   ccfg.shards = 2;
   ccfg.replicas = 1;
   ccfg.shard.workers = 1;
-  ccfg.shard.maxBatchJobs = 1;
   ccfg.journalDir = dir.path;
   cluster::CompressionCluster cl(ccfg);
 

@@ -1,5 +1,5 @@
 // Unit tests for the gpusim kernel launcher: coverage, counter reduction,
-// batching, and concurrency behaviour.
+// task grouping (blocksPerTask), and concurrency behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>

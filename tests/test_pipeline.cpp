@@ -2,9 +2,8 @@
 // table, RLE, Lorenzo-2D), the per-block selector's guarantees, the
 // mixed-pipeline salvage regression (a corrupted Huffman block between
 // intact FLE blocks quarantines exactly one block), dictionary-damage
-// quarantine, v3 random access / block replacement, batch parity, the
-// strict in-kernel digest check's failure order, and the service-layer
-// rule that jobs never batch across pipeline policies.
+// quarantine, v3 random access / block replacement, and the strict
+// in-kernel digest check's failure order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +17,6 @@
 #include "common/error.hpp"
 #include "core/pipeline.hpp"
 #include "core/stream.hpp"
-#include "service/job.hpp"
 
 namespace cuszp2 {
 namespace {
@@ -414,7 +412,7 @@ TEST(PipelineV3, IntactStreamSalvagesClean) {
   EXPECT_EQ(s.report.goodBlocks, s.report.totalBlocks);
 }
 
-// ---- v3 random access, replacement, batch parity ------------------------
+// ---- v3 random access and replacement -----------------------------------
 
 TEST(PipelineV3, RandomAccessMatchesFullDecode) {
   const std::vector<f32> field = mixedSelectionField(32, 7);
@@ -464,36 +462,6 @@ TEST(PipelineV3, ReplaceBlocksReencodesAndPreservesTheRest) {
     } else {
       EXPECT_EQ(std::memcmp(&d.data[i], &field[i], sizeof(f32)), 0) << i;
     }
-  }
-}
-
-TEST(PipelineV3, BatchCompressAndDecodeMatchSerial) {
-  const std::vector<f32> a = mixedSelectionField(16);
-  const std::vector<f32> b = mixedSelectionField(24, 11);
-  const std::vector<f32> c3 = mixedSelectionField(8, 1);
-  const std::vector<std::span<const f32>> fields = {
-      std::span<const f32>(a), std::span<const f32>(b),
-      std::span<const f32>(c3)};
-
-  CompressorStream codec(v3Config(PipelineMode::Auto));
-  const auto batch = codec.compressBatch<f32>(fields);
-  ASSERT_EQ(batch.size(), fields.size());
-  std::vector<ConstByteSpan> streams;
-  for (usize i = 0; i < fields.size(); ++i) {
-    const auto serial = codec.compress<f32>(fields[i]);
-    EXPECT_EQ(batch[i].stream, serial.stream) << i;
-    streams.push_back(ConstByteSpan(batch[i].stream));
-  }
-
-  const auto decoded = codec.decompressBatchRaw(streams);
-  ASSERT_EQ(decoded.size(), fields.size());
-  for (usize i = 0; i < fields.size(); ++i) {
-    const auto serial = codec.decompress<f32>(streams[i]);
-    ASSERT_EQ(decoded[i].elements, serial.data.size()) << i;
-    EXPECT_EQ(std::memcmp(decoded[i].data.data(), serial.data.data(),
-                          serial.data.size() * sizeof(f32)),
-              0)
-        << i;
   }
 }
 
@@ -569,35 +537,6 @@ TEST(PipelineV3, BlockRangeChecksOnlyTheRequestedDigests) {
   EXPECT_EQ(std::memcmp(r.values.data(), clean.data.data() + 10 * kBlock,
                         r.values.size() * sizeof(f32)),
             0);
-}
-
-// ---- service batching isolation -----------------------------------------
-
-TEST(PipelineService, JobsNeverBatchAcrossPipelinePolicies) {
-  service::detail::Job legacy;
-  legacy.kind = service::JobKind::Compress;
-  legacy.config = Config{};
-
-  service::detail::Job autoSel;
-  autoSel.kind = service::JobKind::Compress;
-  autoSel.config = Config{};
-  autoSel.config.pipeline = PipelineMode::Auto;
-
-  service::detail::Job huffman;
-  huffman.kind = service::JobKind::Compress;
-  huffman.config = Config{};
-  huffman.config.pipeline = PipelineMode::Huffman;
-
-  service::detail::Job autoToo;
-  autoToo.kind = service::JobKind::Compress;
-  autoToo.config = Config{};
-  autoToo.config.pipeline = PipelineMode::Auto;
-
-  // Identical configs fuse; configs differing only in pipeline never do.
-  EXPECT_TRUE(autoSel.batchableWith(autoToo));
-  EXPECT_FALSE(legacy.batchableWith(autoSel));
-  EXPECT_FALSE(autoSel.batchableWith(huffman));
-  EXPECT_FALSE(legacy.batchableWith(huffman));
 }
 
 }  // namespace

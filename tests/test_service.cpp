@@ -1,23 +1,22 @@
-// CompressionService: scheduling, admission control, batching and
-// lifecycle guarantees.
+// CompressionService: scheduling, admission control and lifecycle
+// guarantees.
 //
 // The load-bearing acceptance test is
-// ByteIdenticalToSerialStreamAndFewerLaunches: a seeded 4-tenant mixed
+// ByteIdenticalToSerialStreamOneLaunchPerJob: a seeded 4-tenant mixed
 // workload through the service must produce byte-identical compressed
-// output to serial per-request CompressorStream calls, while the batching
-// scheduler shows fewer total launches in the kernel telemetry table and
-// the queue/wait metrics appear in snapshotJson.
+// output to serial per-request CompressorStream calls, with exactly one
+// kernel launch per job in the telemetry table and the queue/wait metrics
+// in snapshotJson.
 //
 // Determinism recipe used throughout: workers = 1 + startPaused = true +
 // submit everything + resume() gives a fully known queue at dispatch time,
-// so batch formation and dispatch order are exact, not statistical.
+// so the dispatch order is exact, not statistical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -48,8 +47,7 @@ struct Request {
   usize elems;
 };
 
-// 4 tenants, mixed sizes, all with the same Config so jobs coalesce
-// across tenants.
+// 4 tenants, mixed sizes, all with the same Config.
 std::vector<Request> mixedWorkload() {
   return {
       {"climate", "cesm_atm", 0, 4096}, {"physics", "hacc", 0, 8192},
@@ -75,7 +73,7 @@ u64 kernelLaunches(const std::string& kernel) {
 
 }  // namespace
 
-TEST(ServiceTest, ByteIdenticalToSerialStreamAndFewerLaunches) {
+TEST(ServiceTest, ByteIdenticalToSerialStreamOneLaunchPerJob) {
   const std::vector<Request> reqs = mixedWorkload();
   const core::Config cfg = relConfig(1e-3);
 
@@ -98,7 +96,6 @@ TEST(ServiceTest, ByteIdenticalToSerialStreamAndFewerLaunches) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 4;
   service::CompressionService svc(scfg);
 
   std::vector<service::Ticket> tickets;
@@ -122,23 +119,16 @@ TEST(ServiceTest, ByteIdenticalToSerialStreamAndFewerLaunches) {
 
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.completed, reqs.size());
-  EXPECT_LT(stats.batches, static_cast<u64>(reqs.size()))
-      << "batching scheduler did not coalesce anything";
-  EXPECT_GT(stats.launchesSaved(), 0u);
+  EXPECT_EQ(stats.batches, static_cast<u64>(reqs.size()));
 
-  // The fused launches are visible in the kernel telemetry table: fewer
-  // `compress` launches than jobs, exactly one per batch.
-  const u64 launches = kernelLaunches("compress");
-  EXPECT_GT(launches, 0u);
-  EXPECT_LT(launches, static_cast<u64>(reqs.size()));
-  EXPECT_EQ(launches, stats.batches);
+  // Each job is one `compress` launch in the kernel telemetry table.
+  EXPECT_EQ(kernelLaunches("compress"), static_cast<u64>(reqs.size()));
 
   // Queue/wait metrics and per-tenant counters appear in the snapshot.
   const std::string json = telemetry::registry().snapshotJson();
   EXPECT_NE(json.find("service.queue_depth"), std::string::npos);
   EXPECT_NE(json.find("service.wait_us"), std::string::npos);
   EXPECT_NE(json.find("service.service_us"), std::string::npos);
-  EXPECT_NE(json.find("service.batch_jobs"), std::string::npos);
   EXPECT_NE(json.find("service.tenant.climate.jobs"), std::string::npos);
   EXPECT_NE(json.find("service.tenant.tiny.bytes_out"), std::string::npos);
 }
@@ -150,7 +140,6 @@ TEST(ServiceTest, UnbatchedModeMatchesJobCount) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;
   service::CompressionService svc(scfg);
   std::vector<service::Ticket> tickets;
   for (const Request& r : reqs) {
@@ -164,10 +153,10 @@ TEST(ServiceTest, UnbatchedModeMatchesJobCount) {
   for (const service::Ticket& t : tickets) EXPECT_TRUE(t.wait().ok);
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.batches, static_cast<u64>(reqs.size()));
-  EXPECT_EQ(stats.launchesSaved(), 0u);
+  EXPECT_EQ(stats.dispatched, static_cast<u64>(reqs.size()));
 }
 
-TEST(ServiceTest, BatchedDecompressByteIdenticalAndFewerLaunches) {
+TEST(ServiceTest, DecompressByteIdenticalOneLaunchPerJob) {
   const std::vector<Request> reqs = mixedWorkload();
   const core::Config cfg = relConfig(1e-3);
 
@@ -192,7 +181,6 @@ TEST(ServiceTest, BatchedDecompressByteIdenticalAndFewerLaunches) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 4;
   service::CompressionService svc(scfg);
   std::vector<service::Ticket> tickets;
   for (usize i = 0; i < reqs.size(); ++i) {
@@ -219,78 +207,8 @@ TEST(ServiceTest, BatchedDecompressByteIdenticalAndFewerLaunches) {
 
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.completed, reqs.size());
-  EXPECT_LT(stats.batches, static_cast<u64>(reqs.size()))
-      << "decompress jobs were not coalesced";
-
-  const u64 launches = kernelLaunches("decompress");
-  EXPECT_GT(launches, 0u);
-  EXPECT_LT(launches, static_cast<u64>(reqs.size()));
-}
-
-// Guards the whole point of batching: a fused launch must not cost more
-// wall-clock than dispatching the same jobs one by one. Uses the bench
-// workload shape (4 tenants x 4 rounds, mixed sizes, shared Config)
-// against a warm persistent service — cold construction would measure
-// arena growth, not scheduling. Minimum over several passes with a noise
-// tolerance keeps the assertion stable on loaded machines while still
-// catching a real regression of the coalescing path.
-TEST(ServiceTest, BatchedWallClockNoSlowerThanUnbatched) {
-  const core::Config cfg = relConfig(1e-3);
-  std::vector<Request> reqs;
-  const char* datasets[4] = {"cesm_atm", "hacc", "jetin", "cesm_atm"};
-  const usize sizes[4] = {32768, 65536, 16384, 8192};
-  for (u32 round = 0; round < 4; ++round) {
-    for (u32 t = 0; t < 4; ++t) {
-      const u32 numFields = datagen::datasetInfo(datasets[t]).numFields;
-      reqs.push_back(Request{"tenant" + std::to_string(t), datasets[t],
-                             round % numFields, sizes[t]});
-    }
-  }
-  std::vector<std::vector<f32>> fields;
-  for (const Request& r : reqs) fields.push_back(fieldFor(r));
-
-  const auto measure = [&](u32 maxBatchJobs) {
-    service::ServiceConfig scfg;
-    scfg.workers = 1;
-    scfg.startPaused = true;
-    scfg.maxBatchJobs = maxBatchJobs;
-    service::CompressionService svc(scfg);
-    const auto pass = [&]() {
-      svc.pause();
-      std::vector<service::Ticket> tickets;
-      for (usize i = 0; i < reqs.size(); ++i) {
-        service::SubmitResult s = svc.submitCompress<f32>(
-            reqs[i].tenant, std::span<const f32>(fields[i]), cfg);
-        EXPECT_TRUE(s.accepted()) << s.detail;
-        tickets.push_back(s.ticket);
-      }
-      svc.resume();
-      for (const service::Ticket& t : tickets) EXPECT_TRUE(t.wait().ok);
-    };
-    pass();  // warm-up: grows the arena and pays one-time setup
-    f64 best = std::numeric_limits<f64>::infinity();
-    for (int i = 0; i < 5; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      pass();
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best, std::chrono::duration<f64>(t1 - t0).count());
-    }
-    svc.shutdown();
-    return best;
-  };
-
-  // One OS scheduling spike can invert a ~20 ms comparison; re-measure up
-  // to three times and only fail if batched loses every round.
-  f64 batched = 0.0;
-  f64 unbatched = 0.0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    batched = measure(8);
-    unbatched = measure(1);
-    if (batched <= unbatched * 1.15) break;
-  }
-  EXPECT_LE(batched, unbatched * 1.15)
-      << "batched " << batched * 1e3 << " ms vs unbatched "
-      << unbatched * 1e3 << " ms";
+  EXPECT_EQ(stats.batches, static_cast<u64>(reqs.size()));
+  EXPECT_EQ(kernelLaunches("decompress"), static_cast<u64>(reqs.size()));
 }
 
 TEST(ServiceProperty, PerTenantFifoOrderPreserved) {
@@ -331,12 +249,11 @@ TEST(ServiceProperty, PerTenantFifoOrderPreserved) {
 }
 
 TEST(ServiceProperty, HotTenantDoesNotStarveColdTenant) {
-  // Distinct configs per tenant prevent cross-tenant coalescing, so the
-  // round-robin tie-break is directly visible in the dispatch ordinals.
+  // The round-robin tie-break is directly visible in the dispatch
+  // ordinals.
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 4;
   service::CompressionService svc(scfg);
 
   std::vector<service::Ticket> hot;
@@ -359,10 +276,9 @@ TEST(ServiceProperty, HotTenantDoesNotStarveColdTenant) {
   for (const service::Ticket& t : cold) {
     coldLast = std::max(coldLast, t.wait().dispatchSeq);
   }
-  // Round-robin at equal priority alternates lanes, so all 4 cold jobs are
-  // dispatched within the first few batches despite 100 queued hot jobs.
-  EXPECT_LE(coldLast, 2u * (4 + 1) * scfg.maxBatchJobs)
-      << "cold tenant was starved behind the hot tenant";
+  // Round-robin at equal priority alternates lanes (hot, cold, hot, ...),
+  // so the 4th cold job is dispatch ordinal 8 despite 100 queued hot jobs.
+  EXPECT_LE(coldLast, 8u) << "cold tenant was starved behind the hot tenant";
   for (const service::Ticket& t : hot) EXPECT_TRUE(t.wait().ok);
 }
 
@@ -476,7 +392,6 @@ TEST(ServiceProperty, ShutdownDeadlineAbandonsQueuedJobsButAllFinish) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;
   service::CompressionService svc(scfg);
   const core::Config cfg = relConfig(1e-3);
 
@@ -553,11 +468,10 @@ TEST(ServiceTest, CancelBeforeDispatchReleasesSlot) {
   EXPECT_EQ(svc.stats().completed, 3u);
 }
 
-TEST(ServiceTest, PriorityRunsBeforeBacklogWhenUnbatched) {
+TEST(ServiceTest, PriorityRunsBeforeBacklog) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;  // coalescing off: strict priority order
   service::CompressionService svc(scfg);
   const core::Config cfg = relConfig(1e-3);
   const std::vector<f32> data = datagen::generateF32("cesm_atm", 0, 512);
@@ -708,7 +622,6 @@ TEST(ServiceTest, AbandonedJobsCarryTypedOutcome) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;
   service::CompressionService svc(scfg);
   const core::Config cfg = relConfig(1e-3);
 
@@ -752,7 +665,6 @@ TEST(ServiceTest, WatchdogRecoversWedgedJobOnAnotherWorker) {
   service::ServiceConfig scfg;
   scfg.workers = 2;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;
   scfg.watchdog.pollMillis = 5;
   scfg.watchdog.minTimeoutMillis = 30;
   scfg.watchdog.maxRecoveries = 1;
@@ -792,7 +704,6 @@ TEST(ServiceTest, RetryAbsorbsTransientArenaExhaustion) {
   service::ServiceConfig scfg;
   scfg.workers = 1;
   scfg.startPaused = true;
-  scfg.maxBatchJobs = 1;
   scfg.retry.maxAttempts = 2;
   service::ChaosFault fault;
   fault.mode = service::ChaosFault::Mode::ArenaExhaust;

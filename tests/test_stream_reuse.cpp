@@ -1,6 +1,6 @@
 // Tests for the zero-allocation hot path: the scratch arena, reusable
 // CompressorStream (growing/shrinking inputs, precision alternation,
-// exception recovery, steady-state allocation behaviour, batched
+// exception recovery, steady-state allocation behaviour, nested
 // launches), and the worker-pool environment override.
 #include <gtest/gtest.h>
 
@@ -157,56 +157,7 @@ TEST(StreamReuse, ReleaseScratchRegrows) {
   EXPECT_EQ(again.stream, expected.stream);
 }
 
-TEST(StreamReuse, BatchMatchesPerFieldCompression) {
-  CompressorStream stream(testConfig());
-  std::vector<std::vector<f32>> fields;
-  fields.push_back(datagen::generateF32("miranda", 0, 7000));
-  fields.push_back(datagen::generateF32("hacc", 1, 333));
-  fields.push_back({});  // empty field inside a batch
-  fields.push_back(datagen::generateF32("cesm_atm", 0, 12000));
-
-  std::vector<std::span<const f32>> views;
-  for (const auto& f : fields) views.emplace_back(f);
-  const auto batch = stream.compressBatch<f32>(views);
-  ASSERT_EQ(batch.size(), fields.size());
-
-  const Compressor oneShot(stream.config());
-  for (usize i = 0; i < fields.size(); ++i) {
-    const auto expected = oneShot.compress<f32>(views[i]);
-    EXPECT_EQ(batch[i].stream, expected.stream) << "field " << i;
-    EXPECT_EQ(batch[i].originalBytes, expected.originalBytes);
-  }
-}
-
-// ---- Batched launches and the shared pool --------------------------------
-
-TEST(LaunchBatch, CountersMatchSeparateLaunches) {
-  gpusim::Launcher launcher;
-  auto makeBody = [](u64 bytesPerBlock) {
-    return [bytesPerBlock](gpusim::BlockCtx& ctx) {
-      ctx.mem.noteVectorRead(bytesPerBlock, 32);
-      ctx.mem.noteVectorWrite(2 * bytesPerBlock, 32);
-    };
-  };
-  std::vector<gpusim::KernelDesc> descs(3);
-  descs[0] = {17, makeBody(64), 0};
-  descs[1] = {0, {}, 0};  // empty grid inside a batch
-  descs[2] = {33, makeBody(128), 4};
-
-  const auto batch = launcher.launchBatch(descs);
-  ASSERT_EQ(batch.size(), 3u);
-  for (usize k = 0; k < descs.size(); ++k) {
-    if (descs[k].gridSize == 0) {
-      EXPECT_EQ(batch[k].mem.bytesRead, 0u);
-      continue;
-    }
-    const auto single =
-        launcher.launch(descs[k].gridSize, descs[k].body, descs[k].blocksPerTask);
-    EXPECT_EQ(batch[k].gridSize, single.gridSize);
-    EXPECT_EQ(batch[k].mem.bytesRead, single.mem.bytesRead);
-    EXPECT_EQ(batch[k].mem.bytesWritten, single.mem.bytesWritten);
-  }
-}
+// ---- Nested launches on the shared pool ---------------------------------
 
 TEST(LaunchBatch, NestedLaunchOnSharedPoolRunsInline) {
   // A kernel body launching another grid on the same pool must not

@@ -185,7 +185,6 @@ service::ServiceConfig serviceConfig(u64 seed) {
 
   service::ServiceConfig cfg;
   cfg.workers = 3;
-  cfg.maxBatchJobs = 1;  // deterministic: no coalescing, 1 job = 1 dispatch
   cfg.startPaused = true;
   cfg.watchdog.pollMillis = 5;
   cfg.watchdog.minTimeoutMillis = 150;
@@ -419,7 +418,6 @@ ClusterRun runClusterOnce(u64 seed, const std::vector<JobSpec>& specs) {
   cfg.replicas = 2;
   cfg.minShardsUp = 2;
   cfg.shard.workers = 1;
-  cfg.shard.maxBatchJobs = 1;  // deterministic: 1 job = 1 dispatch
   cfg.startPaused = true;
   cluster::ShardChaosConfig chaos;
   chaos.seed = seed;

@@ -436,7 +436,6 @@ core::Config jobConfig() {
 service::ServiceConfig durableServiceConfig(const std::string& journalPath) {
   service::ServiceConfig sc;
   sc.workers = 1;
-  sc.maxBatchJobs = 1;  // deterministic: 1 job = 1 dispatch, FIFO resolves
   sc.startPaused = true;
   sc.jobJournalPath = journalPath;
   return sc;

@@ -10,10 +10,9 @@
 //   cuszp2 verify     <in.czp2|archive>          (integrity only)
 //   cuszp2 repair     <archive> [--dry-run]
 //   cuszp2 profile    <in.raw> [compress options]
-//   cuszp2 serve      --jobs <manifest> [--workers N] [--batch N]
-//                     [--depth N] [--quota BYTES] [--unbatched]
-//                     [--chaos-seed N] [--shards N] [--replicas R]
-//                     [--cas]
+//   cuszp2 serve      --jobs <manifest> [--workers N] [--depth N]
+//                     [--quota BYTES] [--chaos-seed N] [--shards N]
+//                     [--replicas R] [--cas]
 //   cuszp2 store      put|get|rm|gc|compact|stat against an on-disk
 //                     content-addressed block store (docs/CAS.md)
 //
@@ -102,10 +101,9 @@ bool flushTrace() {
       "  cuszp2 verify     <in.czp2|archive>       (integrity only)\n"
       "  cuszp2 repair     <archive> [--dry-run]\n"
       "  cuszp2 profile    <in.raw> [compress options]\n"
-      "  cuszp2 serve      --jobs <manifest> [--workers N] [--batch N]\n"
-      "                    [--depth N] [--quota BYTES] [--unbatched]\n"
-      "                    [--chaos-seed N] [--shards N] [--replicas R]\n"
-      "                    [--cas]\n"
+      "  cuszp2 serve      --jobs <manifest> [--workers N] [--depth N]\n"
+      "                    [--quota BYTES] [--chaos-seed N] [--shards N]\n"
+      "                    [--replicas R] [--cas]\n"
       "  cuszp2 store put     <store.cas> <tenant> <name> <file>\n"
       "  cuszp2 store get     <store.cas> <tenant> <name> <out-file>\n"
       "  cuszp2 store rm      <store.cas> <tenant> <name>\n"
@@ -195,11 +193,11 @@ Options parseOptions(int argc, char** argv, int first) {
   return opt;
 }
 
+/// The codec Config the compress options select for `data`. Every
+/// subcommand that compresses (`compress`, `profile`) builds its Config
+/// here, so they all produce the same stream for the same flags.
 template <FloatingPoint T>
-int doCompress(const std::string& in, const std::string& out,
-               const Options& opt) {
-  const io::MappedBytes mapped(in);
-  const std::span<const T> data = mapped.view<T>();
+core::Config compressConfig(const Options& opt, std::span<const T> data) {
   core::Config cfg;
   cfg.mode = opt.mode;
   cfg.blockSize = opt.blockSize;
@@ -211,6 +209,15 @@ int doCompress(const std::string& in, const std::string& out,
       opt.abs > 0.0 ? opt.abs
                     : core::Quantizer::absFromRel(
                           opt.rel, metrics::valueRange<T>(data));
+  return cfg;
+}
+
+template <FloatingPoint T>
+int doCompress(const std::string& in, const std::string& out,
+               const Options& opt) {
+  const io::MappedBytes mapped(in);
+  const std::span<const T> data = mapped.view<T>();
+  const core::Config cfg = compressConfig(opt, data);
   core::CompressorStream codec(cfg);
   const auto c = codec.compress<T>(std::span<const T>(data));
   io::writeBytes(out, c.stream);
@@ -487,15 +494,7 @@ template <FloatingPoint T>
 int doProfileTyped(const std::string& in, const Options& opt) {
   const io::MappedBytes mapped(in);
   const std::span<const T> data = mapped.view<T>();
-  core::Config cfg;
-  cfg.mode = opt.mode;
-  cfg.blockSize = opt.blockSize;
-  cfg.predictor = opt.predictor;
-  cfg.pipeline = opt.pipeline;
-  cfg.absErrorBound =
-      opt.abs > 0.0 ? opt.abs
-                    : core::Quantizer::absFromRel(
-                          opt.rel, metrics::valueRange<T>(data));
+  const core::Config cfg = compressConfig(opt, data);
   telemetry::registry().setEnabled(true);
   telemetry::registry().reset();
   core::CompressorStream codec(cfg);
@@ -705,9 +704,8 @@ struct OutcomeTally {
 /// CompressionService and prints per-tenant and scheduler summaries. Job
 /// inputs are deterministic synthetic fields (datagen), so two runs of the
 /// same manifest produce identical compressed bytes.
-int doServe(const std::string& manifestPath, u32 workers, u32 maxBatch,
-            usize depth, u64 quota, bool unbatched, bool chaos,
-            u64 chaosSeed, bool useCas) {
+int doServe(const std::string& manifestPath, u32 workers, usize depth,
+            u64 quota, bool chaos, u64 chaosSeed, bool useCas) {
   const auto entries = parseManifest(manifestPath);
   telemetry::registry().setEnabled(true);
   telemetry::registry().reset();
@@ -719,12 +717,10 @@ int doServe(const std::string& manifestPath, u32 workers, u32 maxBatch,
   cfg.workers = workers;
   cfg.maxQueueDepth = depth;
   cfg.tenantQuotaBytes = quota;
-  if (unbatched) cfg.maxBatchJobs = 1;
-  else if (maxBatch > 0) cfg.maxBatchJobs = maxBatch;
   // Paused start: with the whole manifest queued before dispatch begins,
-  // batch formation is deterministic and the coalescing win is visible.
-  // The submit loop resumes early if the queue fills (see below), so a
-  // manifest larger than --depth still drains.
+  // the dispatch order is deterministic. The submit loop resumes early if
+  // the queue fills (see below), so a manifest larger than --depth still
+  // drains.
   cfg.startPaused = true;
   if (chaos) {
     // Seeded fault drill: the schedule only faults first attempts, so
@@ -840,10 +836,8 @@ int doServe(const std::string& manifestPath, u32 workers, u32 maxBatch,
   // (e.g. every job was abandoned or canceled before dispatch).
   if (!tally.served()) rc = 1;
 
-  std::printf("served %zu jobs from %zu tenants on %u workers "
-              "(batching %s)\n",
-              pending.size(), tenants.size(), svc.workerCount(),
-              unbatched ? "off" : "on");
+  std::printf("served %zu jobs from %zu tenants on %u workers\n",
+              pending.size(), tenants.size(), svc.workerCount());
   if (rejections > 0) {
     std::printf("backpressure: %llu submissions retried\n",
                 static_cast<unsigned long long>(rejections));
@@ -867,11 +861,8 @@ int doServe(const std::string& manifestPath, u32 workers, u32 maxBatch,
     }
   }
   const service::ServiceStats stats = svc.stats();
-  std::printf("scheduler: %llu jobs in %llu fused launches "
-              "(%llu launches saved)\n",
-              static_cast<unsigned long long>(stats.dispatched),
-              static_cast<unsigned long long>(stats.batches),
-              static_cast<unsigned long long>(stats.launchesSaved()));
+  std::printf("scheduler: %llu jobs dispatched\n",
+              static_cast<unsigned long long>(stats.dispatched));
   std::printf("health: %llu completed, %llu failed, %llu degraded, "
               "%llu abandoned, %llu canceled; watchdog recoveries %llu, "
               "retries %llu, stream relaunches %llu, breaker opens %llu, "
@@ -899,9 +890,8 @@ int doServe(const std::string& manifestPath, u32 workers, u32 maxBatch,
 /// heterogeneous fleet, with a per-shard summary and a cluster-level
 /// health line on top of the per-tenant table.
 int doServeCluster(const std::string& manifestPath, u32 shards,
-                   u32 replicas, u32 workers, u32 maxBatch, usize depth,
-                   u64 quota, bool unbatched, bool chaos, u64 chaosSeed,
-                   bool useCas) {
+                   u32 replicas, u32 workers, usize depth, u64 quota,
+                   bool chaos, u64 chaosSeed, bool useCas) {
   const auto entries = parseManifest(manifestPath);
   telemetry::registry().setEnabled(true);
   telemetry::registry().reset();
@@ -912,8 +902,6 @@ int doServeCluster(const std::string& manifestPath, u32 shards,
   cfg.shard.workers = workers;
   cfg.shard.maxQueueDepth = depth;
   cfg.shard.tenantQuotaBytes = quota;
-  if (unbatched) cfg.shard.maxBatchJobs = 1;
-  else if (maxBatch > 0) cfg.shard.maxBatchJobs = maxBatch;
   cfg.startPaused = true;
   if (chaos) {
     service::ChaosConfig ccfg;
@@ -1016,9 +1004,9 @@ int doServeCluster(const std::string& manifestPath, u32 shards,
   if (!tally.served()) rc = 1;
 
   std::printf("served %zu jobs from %zu tenants on %u shards "
-              "(replicas %u, batching %s)\n",
+              "(replicas %u)\n",
               pending.size(), tenants.size(), cl.shardCount(),
-              cfg.replicas, unbatched ? "off" : "on");
+              cfg.replicas);
   if (rejections > 0) {
     std::printf("backpressure: %llu submissions retried\n",
                 static_cast<unsigned long long>(rejections));
@@ -1039,15 +1027,13 @@ int doServeCluster(const std::string& manifestPath, u32 shards,
     }
   }
   std::printf("per-shard summary:\n");
-  std::printf("  %-6s %-28s %-10s %10s %10s %10s\n", "shard", "device",
-              "state", "completed", "batches", "saved");
+  std::printf("  %-6s %-28s %-10s %10s %10s\n", "shard", "device",
+              "state", "completed", "dispatched");
   for (const cluster::ShardInfo& info : cl.shardInfos()) {
-    std::printf("  %-6u %-28s %-10s %10llu %10llu %10llu\n", info.id,
+    std::printf("  %-6u %-28s %-10s %10llu %10llu\n", info.id,
                 info.device.c_str(), cluster::toString(info.state),
                 static_cast<unsigned long long>(info.stats.completed),
-                static_cast<unsigned long long>(info.stats.batches),
-                static_cast<unsigned long long>(
-                    info.stats.launchesSaved()));
+                static_cast<unsigned long long>(info.stats.dispatched));
   }
   const cluster::ClusterStats cstats = cl.stats();
   std::printf("health: %llu completed, %llu failed, %llu degraded, "
@@ -1366,10 +1352,8 @@ int main(int argc, char** argv) {
       u32 shards = 0;
       u32 replicas = 2;
       u32 workers = 2;
-      u32 batch = 0;
       usize depth = 256;
       u64 quota = 0;
-      bool unbatched = false;
       bool chaos = false;
       u64 chaosSeed = 0;
       bool useCas = false;
@@ -1383,22 +1367,19 @@ int main(int argc, char** argv) {
         else if (arg == "--shards") shards = static_cast<u32>(std::stoul(next()));
         else if (arg == "--replicas") replicas = static_cast<u32>(std::stoul(next()));
         else if (arg == "--workers") workers = static_cast<u32>(std::stoul(next()));
-        else if (arg == "--batch") batch = static_cast<u32>(std::stoul(next()));
         else if (arg == "--depth") depth = static_cast<usize>(std::stoull(next()));
         else if (arg == "--quota") quota = std::stoull(next());
-        else if (arg == "--unbatched") unbatched = true;
         else if (arg == "--chaos-seed") { chaos = true; chaosSeed = std::stoull(next()); }
         else if (arg == "--cas") useCas = true;
         else usage();
       }
       if (manifest.empty()) usage();
       if (shards > 0) {
-        return doServeCluster(manifest, shards, replicas, workers, batch,
-                              depth, quota, unbatched, chaos, chaosSeed,
-                              useCas);
+        return doServeCluster(manifest, shards, replicas, workers, depth,
+                              quota, chaos, chaosSeed, useCas);
       }
-      return doServe(manifest, workers, batch, depth, quota, unbatched,
-                     chaos, chaosSeed, useCas);
+      return doServe(manifest, workers, depth, quota, chaos, chaosSeed,
+                     useCas);
     }
     if (cmd == "store") return doStore(argc, argv);
     usage();
