@@ -7,8 +7,10 @@
 // decompress(): offset scan -> payload decode -> reconstruction, also one
 //               kernel; all-zero blocks are flushed via device memset.
 // decompressBlocks(): random access to a block range (paper Sec. VI-B):
-//               the offset array alone is scanned to locate the range, then
-//               only the requested blocks are decoded.
+//               a host walk over the offset (descriptor) array positions
+//               the blocks, then one kernel decodes only the requested
+//               ones. It shares that walk with replaceBlocks() and
+//               decompressResilient() for every format version.
 //
 // Every call returns a KernelProfile with the recorded memory counters,
 // sync statistics, and the modelled device timing used by the bench

@@ -37,9 +37,11 @@ struct Config {
   /// Data blocks per tile (thread block).
   u32 blocksPerTile = kDefaultBlocksPerTile;
 
-  /// Device-level synchronization algorithm for the global prefix sum.
-  /// DecoupledLookback is the cuSZp2 design; ChainedScan reproduces the
-  /// cuSZp-v1 baseline and the Sec. VI-E ablation.
+  /// Device-level synchronization algorithm for the global prefix sum of
+  /// the legacy compress and full-decompress kernels (the other readers
+  /// position blocks from the host descriptor walk). DecoupledLookback is
+  /// the cuSZp2 design; ChainedScan reproduces the cuSZp-v1 baseline and
+  /// the Sec. VI-E ablation.
   scan::Algorithm syncAlgorithm = scan::Algorithm::DecoupledLookback;
 
   /// Vectorized (float4-style, warp-coalesced) global memory access.
@@ -57,8 +59,8 @@ struct Config {
   /// failing block, and decompressResilient can quarantine damaged blocks
   /// while recovering every other block bit-exactly. Costs 2 bytes per
   /// block; the compress kernel takes the digests in-kernel, and the
-  /// strict decoder verifies them in one bandwidth pass over the
-  /// compressed bytes.
+  /// decode kernels check them in-kernel (no extra pass over the
+  /// compressed bytes).
   bool blockChecksums = false;
 
   /// Detect-and-retry budget for simulated soft errors (gpusim FaultPlan):

@@ -59,13 +59,18 @@ class TileSync {
 // profile assembly all live in stream_internal.hpp now.
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
-using detail::footerDigestAt;
 using detail::kDigestBytes;
 using detail::kernelBlockDigest;
+using detail::kernelDigestMatches;
+using detail::kNoBadBlock;
 using detail::makeProfile;
 using detail::putFooterDigest;
 using detail::residualsToQuants;
 using detail::secondOrderDiff;
+using detail::stampStreamCrc;
+using detail::streamCrc;
+using detail::throwFirstDigestMismatch;
+using detail::walkBlockLayout;
 
 /// Tile-local compression scratch, pre-partitioned into one slot per pool
 /// worker. A worker runs exactly one task at a time and each kernel-body
@@ -300,11 +305,7 @@ Compressed finishField(const Config& config,
 
   // Optional integrity stamp: CRC-32 over offsets + payload (+ footer).
   if (config.checksum) {
-    job.header.checksum = crc32(
-        ConstByteSpan(job.staging + StreamHeader::offsetsBegin(),
-                      finalBytes - StreamHeader::offsetsBegin()));
-    if (job.header.checksum == 0) job.header.checksum = 1;  // 0 = "absent"
-    job.header.serialize(job.staging);
+    stampStreamCrc(job.header, std::span<std::byte>(job.staging, finalBytes));
     checksumSeconds +=
         gpusim::modelledPassSeconds(finalBytes, timing.spec(), 1.0);
   }
@@ -343,74 +344,6 @@ bool compressWriteDigestsMatch(const FieldJob& job, u32 bpt) {
     if (crc != job.tileWriteCrc[t]) return false;
   }
   return true;
-}
-
-[[noreturn]] void throwPayloadOverrun(const char* api, u64 block,
-                                      u64 byteOffset, usize need,
-                                      usize avail) {
-  throw Error(std::string(api) +
-              ": offset bytes imply a payload overrun at block " +
-              std::to_string(block) + " (stream byte offset " +
-              std::to_string(byteOffset) + ", needs " +
-              std::to_string(need) + " bytes, " + std::to_string(avail) +
-              " available) — the offset region is corrupt or the stream "
-              "is truncated");
-}
-
-/// Strict-mode layout validation, before any payload read: the
-/// prefix-summed per-block payload sizes must stay inside the stream's
-/// payload region, version-2 streams must frame exactly (payload end +
-/// footer == stream end), and version-2 per-block digests covering
-/// [digestFirst, digestFirst + digestCount) must match. Throws Error
-/// naming the failing block index and byte offset. Returns the total
-/// payload size.
-u64 validateStrictLayout(const char* api, const StreamHeader& header,
-                         ConstByteSpan stream, u64 digestFirst,
-                         u64 digestCount) {
-  const u32 L = header.blockSize;
-  const u64 numBlocks = header.numBlocks();
-  const usize payloadBegin = header.payloadBegin();
-  const usize footerB = header.footerBytes();
-  const usize payloadAvail = stream.size() - payloadBegin - footerB;
-  const std::byte* offsets = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + payloadBegin;
-  // The version-2 footer occupies the stream's trailing bytes.
-  const std::byte* footer = stream.data() + (stream.size() - footerB);
-  const PayloadSizeTable psize(L);
-
-  u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    const std::byte offsetByte = offsets[blk];
-    const usize size = psize[offsetByte];
-    if (cursor + size > payloadAvail) {
-      throwPayloadOverrun(api, blk, payloadBegin + cursor, size,
-                          payloadAvail - std::min<usize>(payloadAvail,
-                                                         cursor));
-    }
-    if (header.hasBlockChecksums() && blk >= digestFirst &&
-        blk < digestFirst + digestCount) {
-      const u16 stored = footerDigestAt(footer, blk);
-      const u16 actual =
-          blockDigest(offsetByte, ConstByteSpan(payload + cursor, size));
-      if (stored != actual) {
-        throw Error(std::string(api) +
-                    ": per-block checksum mismatch at block " +
-                    std::to_string(blk) + " (stream byte offset " +
-                    std::to_string(payloadBegin + cursor) +
-                    ") — the stream is corrupted");
-      }
-    }
-    cursor += size;
-  }
-  if (header.hasBlockChecksums() &&
-      payloadBegin + cursor + footerB != stream.size()) {
-    throw Error(std::string(api) +
-                ": version-2 stream framing mismatch (offset bytes imply " +
-                std::to_string(payloadBegin + cursor + footerB) +
-                " bytes, stream has " + std::to_string(stream.size()) +
-                ") — the stream is corrupted or truncated");
-  }
-  return cursor;
 }
 
 }  // namespace
@@ -570,29 +503,22 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   // Integrity check when the stream carries a checksum.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    require(crc == header.checksum,
+    require(streamCrc(stream) == header.checksum,
             "decompress: checksum mismatch — the stream is corrupted");
     checksumSeconds =
         gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
   }
 
-  // Layout validation before any payload read: the prefix-summed payload
-  // sizes must stay inside the stream, and version-2 per-block digests
-  // must match (one extra bandwidth pass over the compressed bytes).
-  validateStrictLayout("decompress", header, stream, 0, header.numBlocks());
-  if (header.hasBlockChecksums()) {
-    checksumSeconds +=
-        gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
-  }
+  // Structural walk before any payload read: the prefix-summed payload
+  // sizes must stay inside the stream and, with a footer, frame it
+  // exactly. Version-2 digests are checked by the kernel below.
+  const u64 numBlocks = header.numBlocks();
+  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks + 1);
+  walkBlockLayout("decompress", header, stream, blockStart, false);
 
   const u32 L = header.blockSize;
   const u32 bpt = config_.blocksPerTile;
   const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
 
   Decompressed<T> out;
   out.data.assign(n, T{});
@@ -608,6 +534,8 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   const std::byte* payload = stream.data() + header.payloadBegin();
   const usize payloadAvail =
       stream.size() - header.payloadBegin() - header.footerBytes();
+  const std::byte* footer =
+      header.hasBlockChecksums() ? payload + payloadAvail : nullptr;
 
   const Quantizer quantizer(header.absErrorBound);
   const BlockCodec codec(L);
@@ -618,6 +546,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   if (config_.faultRetries > 0) {
     tileWriteCrc = arena_.allocSpan<u32>(tiles);
   }
+  const std::span<u64> tileBad = arena_.allocSpan<u64>(tiles);
   const AccessRecorder access{config_.vectorizedAccess,
                               timing_.spec().transactionBytes};
 
@@ -643,6 +572,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
     u64 zeroBytes = 0;
     u64 decodedElems = 0;
     u64 payloadBytesRead = 0;
+    u64 firstBad = kNoBadBlock;
     for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
       const auto h = BlockHeader::unpack(
           std::to_integer<u8>(offsetBytes[blk]));
@@ -650,6 +580,16 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
 
+      // Version 2: the scan has positioned the block, so its footer
+      // digest is checked here; a failing block is skipped, never
+      // decoded, and the host raises the error after the launch.
+      if (footer != nullptr &&
+          !kernelDigestMatches(ctx.mem, offsetBytes, footer, blk,
+                               ConstByteSpan(payload + cursor, size))) {
+        firstBad = std::min(firstBad, blk);
+        cursor += size;
+        continue;
+      }
       if (!h.outlierMode && h.fixedLength == 0) {
         // Zero block: flush with device memset (paper Sec. V-B, JetIn).
         for (u64 e = eFirst; e < eLast; ++e) out.data[e] = T{};
@@ -669,7 +609,11 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
                      out.data.data() + eFirst);
       decodedElems += eLast - eFirst;
     }
+    tileBad[ctx.blockIdx] = firstBad;
     access.read(ctx.mem, payloadBytesRead, 4);
+    if (footer != nullptr) {
+      access.read(ctx.mem, blocksHere * kDigestBytes, kDigestBytes);
+    }
     access.write(ctx.mem, decodedElems * sizeof(T), sizeof(T));
     ctx.mem.noteMemset(zeroBytes);
     ctx.mem.noteOps(decodedElems * 6);
@@ -708,6 +652,8 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   } else {
     launch = launcher_.launch(tiles, body, 0, {}, "decompress");
   }
+  throwFirstDigestMismatch("decompress", tileBad, blockStart,
+                           header.payloadBegin());
 
   out.profile =
       makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
@@ -715,426 +661,11 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   return out;
 }
 
-template <FloatingPoint T>
-BlockRange<T> CompressorStream::decompressBlocks(ConstByteSpan stream,
-                                                 u64 firstBlock,
-                                                 u64 blockCount) {
-  arena_.reset();
-  applyInjectedArenaBudget();
-  const StreamHeader header = StreamHeader::parse(stream);
-  require(header.precision == precisionOf<T>(),
-          "decompressBlocks: stream precision mismatch");
-  const u64 numBlocks = header.numBlocks();
-  require(firstBlock < numBlocks && blockCount > 0 &&
-              firstBlock + blockCount <= numBlocks,
-          "decompressBlocks: block range out of bounds");
-  if (header.version >= kFormatVersionV3) {
-    return decompressBlocksV3<T>(stream, header, firstBlock, blockCount);
-  }
-
-  // The whole prefix-summed layout is validated before any payload read
-  // (a corrupt offset byte anywhere shifts every later block); version-2
-  // digests are checked for the requested blocks only.
-  validateStrictLayout("decompressBlocks", header, stream, firstBlock,
-                       blockCount);
-
-  const u32 L = header.blockSize;
-  const u32 bpt = config_.blocksPerTile;
-  const u64 n = header.numElements;
-  const u32 tiles = static_cast<u32>(
-      std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
-
-  const std::byte* offsetBytes = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + header.payloadBegin();
-  const usize payloadAvail =
-      stream.size() - header.payloadBegin() - header.footerBytes();
-
-  const Quantizer quantizer(header.absErrorBound);
-  const BlockCodec codec(L);
-  const PayloadSizeTable psize(L);
-  TileSync syncState(config_.syncAlgorithm, tiles, arena_);
-  const AccessRecorder access{config_.vectorizedAccess,
-                              timing_.spec().transactionBytes};
-
-  BlockRange<T> out;
-  out.firstElement = firstBlock * L;
-  const u64 lastElement = std::min<u64>(n, (firstBlock + blockCount) * L);
-  out.values.assign(lastElement - out.firstElement, T{});
-
-  // The offset array alone is scanned (1 byte per block) to locate the
-  // range; only the requested blocks run the decode path. This is why
-  // random access reaches TB-level throughput relative to the original
-  // data size (paper Fig. 20).
-  const std::function<void(gpusim::BlockCtx&)> body =
-      [&](gpusim::BlockCtx& ctx) {
-    const u64 tFirst = static_cast<u64>(ctx.blockIdx) * bpt;
-    const u64 tLast = std::min(numBlocks, tFirst + bpt);
-
-    u64 aggregate = 0;
-    for (u64 blk = tFirst; blk < tLast; ++blk) {
-      aggregate += psize[offsetBytes[blk]];
-    }
-    access.read(ctx.mem, tLast - tFirst, 1);
-    ctx.mem.noteOps((tLast - tFirst) * 2);
-
-    const u64 base =
-        syncState.processTile(ctx.blockIdx, aggregate, ctx.sync, ctx.mem);
-
-    if (tLast <= firstBlock || tFirst >= firstBlock + blockCount) return;
-
-    u64 cursor = base;
-    i32 quantsArr[256];
-    for (u64 blk = tFirst; blk < tLast; ++blk) {
-      const auto h = BlockHeader::unpack(
-          std::to_integer<u8>(offsetBytes[blk]));
-      const usize size = psize[offsetBytes[blk]];
-      if (blk >= firstBlock && blk < firstBlock + blockCount) {
-        require(cursor + size <= payloadAvail,
-                "decompressBlocks: truncated payload region");
-        std::span<i32> q(quantsArr, L);
-        codec.decodeResiduals(h, payload + cursor, q);
-        residualsToQuants(q, q, header.predictor);
-        const u64 eFirst = blk * L;
-        const u64 eLast = std::min<u64>(n, eFirst + L);
-        dequantizeSpan(quantizer,
-                       std::span<const i32>(quantsArr, eLast - eFirst),
-                       out.values.data() + (eFirst - out.firstElement));
-        access.read(ctx.mem, size, 4);
-        access.write(ctx.mem, (eLast - eFirst) * sizeof(T), sizeof(T));
-        ctx.mem.noteOps((eLast - eFirst) * 6);
-      }
-      cursor += size;
-    }
-  };
-  const auto launch =
-      launcher_.launch(tiles, body, 0, {}, "random_access_decode");
-
-  out.profile = makeProfile(launch, timing_, header.originalBytes());
-  noteDecompressed(stream.size(), out.values.size() * sizeof(T),
-                   out.profile.endToEndGBps);
-  return out;
-}
-
-template <FloatingPoint T>
-Compressed CompressorStream::replaceBlocks(ConstByteSpan stream,
-                                           u64 firstBlock,
-                                           std::span<const T> values) {
-  arena_.reset();
-  applyInjectedArenaBudget();
-  const StreamHeader header = StreamHeader::parse(stream);
-  require(header.precision == precisionOf<T>(),
-          "replaceBlocks: stream precision mismatch");
-  require(!values.empty(), "replaceBlocks: values must be non-empty");
-  if (header.version >= kFormatVersionV3) {
-    return replaceBlocksV3<T>(stream, header, firstBlock, values);
-  }
-
-  const u32 L = header.blockSize;
-  const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
-  const u64 blockCount = (values.size() + L - 1) / L;
-  require(firstBlock < numBlocks && firstBlock + blockCount <= numBlocks,
-          "replaceBlocks: block range out of bounds");
-  const u64 eFirst = firstBlock * L;
-  const u64 eLast = std::min<u64>(n, (firstBlock + blockCount) * L);
-  require(values.size() == eLast - eFirst,
-          "replaceBlocks: values must cover whole blocks (size must be "
-          "a multiple of the block size or end at the stream tail)");
-
-  // Validates the whole layout (prefix-sum bounds + every version-2
-  // digest) before the splice reads any payload byte.
-  validateStrictLayout("replaceBlocks", header, stream, 0, numBlocks);
-
-  const std::byte* offsetBytes = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + header.payloadBegin();
-  const usize payloadAvail =
-      stream.size() - header.payloadBegin() - header.footerBytes();
-
-  // Locate the byte range of the replaced blocks and the payload total
-  // (host-side scan; on the device this is the same offset-array pass the
-  // random-access read performs).
-  u64 rangeStart = 0;
-  u64 rangeEnd = 0;
-  u64 totalPayload = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    const usize size = payloadSize(
-        BlockHeader::unpack(std::to_integer<u8>(offsetBytes[blk])), L);
-    if (blk == firstBlock) rangeStart = totalPayload;
-    totalPayload += size;
-    if (blk == firstBlock + blockCount - 1) rangeEnd = totalPayload;
-  }
-  require(totalPayload <= payloadAvail, "replaceBlocks: truncated payload");
-
-  // Re-encode the replacement blocks under the stream's bound and mode
-  // (one small kernel).
-  const Quantizer quantizer(header.absErrorBound, config_.roundingMode);
-  const BlockCodec codec(L);
-  const std::span<std::byte> newOffsets =
-      arena_.allocSpan<std::byte>(blockCount);
-  const std::span<std::byte> newPayload =
-      arena_.allocSpan<std::byte>(blockCount * maxPayloadSize(L));
-  const std::span<u64> newSizes = arena_.allocSpan<u64>(blockCount);
-  const std::span<i32> blockScratch = arena_.allocSpan<i32>(L);
-  const std::function<void(gpusim::BlockCtx&)> reencodeBody =
-      [&](gpusim::BlockCtx& ctx) {
-    std::span<i32> q = blockScratch;
-    u64 cursor = 0;
-    for (u64 b = 0; b < blockCount; ++b) {
-      const u64 vFirst = b * L;
-      const u64 vLast = std::min<u64>(values.size(), vFirst + L);
-      quantizeDiffBlock(quantizer, values.subspan(vFirst, vLast - vFirst),
-                        q);
-      if (header.predictor == Predictor::SecondOrder) secondOrderDiff(q);
-      const auto plan = codec.planResiduals(q, header.mode);
-      newOffsets[b] = static_cast<std::byte>(plan.header.pack());
-      codec.encodeResiduals(q, plan, newPayload.data() + cursor);
-      newSizes[b] = plan.payloadBytes;
-      cursor += plan.payloadBytes;
-    }
-    ctx.mem.noteVectorRead(values.size() * sizeof(T), 32);
-    ctx.mem.noteScalarRead(numBlocks, 1, 32);  // offset-array scan
-    ctx.mem.noteVectorWrite(cursor + blockCount, 32);
-    ctx.mem.noteOps(values.size() * 16);
-  };
-  const auto launch =
-      launcher_.launch(1, reencodeBody, 0, {}, "replace_blocks");
-  u64 newRangeBytes = 0;
-  for (const u64 s : newSizes) newRangeBytes += s;
-
-  // Splice: header | offsets (patched) | payload prefix | new | suffix.
-  Compressed out;
-  out.originalBytes = header.originalBytes();
-  out.stream.reserve(header.payloadBegin() + totalPayload - (rangeEnd -
-                     rangeStart) + newRangeBytes);
-  out.stream.insert(out.stream.end(), stream.begin(),
-                    stream.begin() + static_cast<usize>(
-                        StreamHeader::offsetsBegin()));
-  out.stream.insert(out.stream.end(), offsetBytes,
-                    offsetBytes + firstBlock);
-  out.stream.insert(out.stream.end(), newOffsets.begin(), newOffsets.end());
-  out.stream.insert(out.stream.end(), offsetBytes + firstBlock + blockCount,
-                    offsetBytes + numBlocks);
-  out.stream.insert(out.stream.end(), payload, payload + rangeStart);
-  out.stream.insert(out.stream.end(), newPayload.begin(),
-                    newPayload.begin() + newRangeBytes);
-  out.stream.insert(out.stream.end(), payload + rangeEnd,
-                    payload + totalPayload);
-
-  // Version 2: rebuild the per-block CRC footer over the spliced stream
-  // (the replaced blocks' digests changed; the rest are recomputed too so
-  // the footer stays a pure function of the stream's blocks).
-  if (header.hasBlockChecksums()) {
-    std::vector<std::byte> footer(header.footerBytes());
-    const std::byte* outOffsets =
-        out.stream.data() + StreamHeader::offsetsBegin();
-    const std::byte* outPayload = out.stream.data() + header.payloadBegin();
-    u64 cursor = 0;
-    for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize size = payloadSize(
-          BlockHeader::unpack(std::to_integer<u8>(outOffsets[blk])), L);
-      putFooterDigest(footer.data(), blk,
-                      blockDigest(outOffsets[blk],
-                                  ConstByteSpan(outPayload + cursor, size)));
-      cursor += size;
-    }
-    out.stream.insert(out.stream.end(), footer.begin(), footer.end());
-  }
-
-  // Keep the integrity stamp valid after the splice.
-  if (header.checksum != 0) {
-    StreamHeader patched = header;
-    patched.checksum = crc32(ConstByteSpan(
-        out.stream.data() + StreamHeader::offsetsBegin(),
-        out.stream.size() - StreamHeader::offsetsBegin()));
-    if (patched.checksum == 0) patched.checksum = 1;
-    patched.serialize(out.stream.data());
-  }
-
-  out.ratio = static_cast<f64>(out.originalBytes) /
-              static_cast<f64>(out.stream.size());
-  out.profile = makeProfile(launch, timing_, (eLast - eFirst) * sizeof(T));
-  instruments_.replaceBlocksCalls->add(1);
-  instruments_.arenaHighWater->set(
-      static_cast<f64>(arena_.stats().highWater));
-  return out;
-}
-
-template <FloatingPoint T>
-Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
-                                                  T fillValue) {
-  arena_.reset();
-  // Salvage keeps its never-throws contract: clear (don't take) any
-  // injected arena budget.
-  arena_.clearFailureBudget();
-  Salvaged<T> out;
-  DecodeReport& rep = out.report;
-  out.profile.endToEndSeconds = timing_.launchSeconds();
-
-  instruments_.salvageCalls->add(1);
-  std::string headerError;
-  const auto parsed = StreamHeader::tryParse(stream, &headerError);
-  if (!parsed) {
-    // Unparseable header: no block or byte counts are trustworthy, so
-    // nothing beyond the call counter reaches the registry.
-    rep.headerError = headerError;
-    return out;
-  }
-  const StreamHeader header = *parsed;
-  if (header.precision != precisionOf<T>()) {
-    rep.headerError =
-        "decompressResilient: stream precision does not match the "
-        "requested type";
-    return out;
-  }
-  rep.headerOk = true;
-  rep.blockChecksums = header.hasBlockChecksums();
-  if (header.version >= kFormatVersionV3) {
-    salvageV3<T>(stream, header, fillValue, out);
-    instruments_.salvageBadBlocks->add(rep.badBlocks);
-    return out;
-  }
-
-  // Whole-stream CRC verdict is informational in salvage mode: a
-  // mismatch localizes nothing, the per-block pass below decides.
-  f64 checksumSeconds = 0.0;
-  if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    rep.streamChecksumOk = (crc == header.checksum);
-    checksumSeconds =
-        gpusim::modelledPassSeconds(stream.size(), timing_.spec(), 1.0);
-  }
-
-  const u32 L = header.blockSize;
-  const u32 bpt = config_.blocksPerTile;
-  const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
-  rep.totalBlocks = numBlocks;
-  rep.verdicts.assign(numBlocks, BlockVerdict::Good);
-  out.data.assign(n, fillValue);
-  if (n == 0) return out;
-
-  const usize payloadBegin = header.payloadBegin();
-  const usize footerB = header.footerBytes();
-  const usize payloadAvail = stream.size() - payloadBegin - footerB;
-  const std::byte* offsets = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + payloadBegin;
-  const std::byte* footer = stream.data() + (stream.size() - footerB);
-
-  // Host structural pass: prefix-sum every block's payload position from
-  // the offset bytes, bounds-check each against the payload region, and
-  // (version 2) verify each in-range block's digest. A truncated stream
-  // quarantines every block past the cut; a flipped offset byte shifts all
-  // later positions, so their digests fail too — exactly the blocks whose
-  // bytes can no longer be trusted.
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  const PayloadSizeTable psize(L);
-  u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    blockStart[blk] = cursor;
-    const usize size = psize[offsets[blk]];
-    if (cursor > payloadAvail || size > payloadAvail - cursor) {
-      rep.verdicts[blk] = BlockVerdict::Truncated;
-    } else if (header.hasBlockChecksums()) {
-      const u16 stored = footerDigestAt(footer, blk);
-      const u16 actual =
-          blockDigest(offsets[blk], ConstByteSpan(payload + cursor, size));
-      if (stored != actual) {
-        rep.verdicts[blk] = BlockVerdict::ChecksumMismatch;
-      }
-    }
-    cursor += size;
-  }
-  if (header.hasBlockChecksums() &&
-      payloadBegin + cursor + footerB != stream.size()) {
-    rep.framingDamaged = true;
-  }
-
-  const u32 tiles = static_cast<u32>(
-      std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
-  const Quantizer quantizer(header.absErrorBound);
-  const BlockCodec codec(L);
-  const AccessRecorder access{config_.vectorizedAccess,
-                              timing_.spec().transactionBytes};
-
-  // Decode only the surviving blocks; quarantined blocks keep the fill.
-  // Block positions come from the host pass, so no scan state is needed
-  // (and corrupted offsets cannot wedge the inter-tile protocol).
-  const std::function<void(gpusim::BlockCtx&)> salvageBody =
-      [&](gpusim::BlockCtx& ctx) {
-    const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
-    const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
-    i32 quantsArr[256];
-    u64 decodedElems = 0;
-    u64 payloadBytesRead = 0;
-    u64 zeroBytes = 0;
-    for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
-      if (rep.verdicts[blk] != BlockVerdict::Good) continue;
-      const auto h = BlockHeader::unpack(std::to_integer<u8>(offsets[blk]));
-      const u64 eFirst = blk * L;
-      const u64 eLast = std::min<u64>(n, eFirst + L);
-      if (!h.outlierMode && h.fixedLength == 0) {
-        for (u64 e = eFirst; e < eLast; ++e) out.data[e] = T{};
-        zeroBytes += (eLast - eFirst) * sizeof(T);
-        continue;
-      }
-      try {
-        std::span<i32> q(quantsArr, L);
-        codec.decodeResiduals(h, payload + blockStart[blk], q);
-        residualsToQuants(q, q, header.predictor);
-        dequantizeSpan(quantizer,
-                       std::span<const i32>(quantsArr, eLast - eFirst),
-                       out.data.data() + eFirst);
-        decodedElems += eLast - eFirst;
-        payloadBytesRead += payloadSize(h, L);
-      } catch (const Error&) {
-        rep.verdicts[blk] = BlockVerdict::DecodeError;
-        for (u64 e = eFirst; e < eLast; ++e) out.data[e] = fillValue;
-      }
-    }
-    access.read(ctx.mem, lastBlock - firstBlock, 1);
-    access.read(ctx.mem, payloadBytesRead, 4);
-    access.write(ctx.mem, decodedElems * sizeof(T), sizeof(T));
-    ctx.mem.noteMemset(zeroBytes);
-    ctx.mem.noteOps(decodedElems * 6);
-    ctx.mem.noteL1(decodedElems * 8);
-  };
-  const auto launch =
-      launcher_.launch(tiles, salvageBody, 0, {}, "salvage_decode");
-
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    if (rep.verdicts[blk] == BlockVerdict::Good) continue;
-    ++rep.badBlocks;
-    if (rep.firstCorruptOffset == DecodeReport::kNoCorruption) {
-      rep.firstCorruptOffset = payloadBegin + blockStart[blk];
-    }
-  }
-  rep.goodBlocks = numBlocks - rep.badBlocks;
-  instruments_.salvageBadBlocks->add(rep.badBlocks);
-
-  out.profile =
-      makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
-  return out;
-}
-
-// Explicit instantiations of the public surface.
+// Explicit instantiations of the public surface (the shared readers are
+// instantiated in stream_v3.cpp).
 template Compressed CompressorStream::compress<f32>(std::span<const f32>);
 template Compressed CompressorStream::compress<f64>(std::span<const f64>);
 template Decompressed<f32> CompressorStream::decompress<f32>(ConstByteSpan);
 template Decompressed<f64> CompressorStream::decompress<f64>(ConstByteSpan);
-template BlockRange<f32> CompressorStream::decompressBlocks<f32>(
-    ConstByteSpan, u64, u64);
-template BlockRange<f64> CompressorStream::decompressBlocks<f64>(
-    ConstByteSpan, u64, u64);
-template Compressed CompressorStream::replaceBlocks<f32>(
-    ConstByteSpan, u64, std::span<const f32>);
-template Compressed CompressorStream::replaceBlocks<f64>(
-    ConstByteSpan, u64, std::span<const f64>);
-template Salvaged<f32> CompressorStream::decompressResilient<f32>(
-    ConstByteSpan, f32);
-template Salvaged<f64> CompressorStream::decompressResilient<f64>(
-    ConstByteSpan, f64);
 
 }  // namespace cuszp2::core

@@ -209,26 +209,17 @@ class CompressorStream {
   gpusim::Launcher& launcher() { return launcher_; }
 
  private:
-  // Format-v3 pipeline paths (stream_v3.cpp). compress() and the decode
-  // entry points branch here when Config::pipeline != Legacy or the
-  // stream header says version 3; the legacy paths in stream.cpp stay
-  // byte-for-byte untouched.
+  // Format-v3 compress and full decode (stream_v3.cpp). compress() and
+  // decompress() branch here when Config::pipeline != Legacy or the stream
+  // header says version 3; the legacy single-kernel compress and lookback
+  // decompress in stream.cpp keep writing and reading v1/v2. The block
+  // range, replaceBlocks and salvage readers have one body for every
+  // version, driven by the shared descriptor walk.
   template <FloatingPoint T>
   Compressed compressV3(std::span<const T> data);
   template <FloatingPoint T>
   Decompressed<T> decompressV3(ConstByteSpan stream,
                                const StreamHeader& header);
-  template <FloatingPoint T>
-  void salvageV3(ConstByteSpan stream, const StreamHeader& header,
-                 T fillValue, Salvaged<T>& out);
-  template <FloatingPoint T>
-  BlockRange<T> decompressBlocksV3(ConstByteSpan stream,
-                                   const StreamHeader& header,
-                                   u64 firstBlock, u64 blockCount);
-  template <FloatingPoint T>
-  Compressed replaceBlocksV3(ConstByteSpan stream,
-                             const StreamHeader& header, u64 firstBlock,
-                             std::span<const T> values);
 
   /// Runs a kernel under the detect-and-retry policy: relaunches up to
   /// Config::faultRetries times while `verify` reports corrupt output or

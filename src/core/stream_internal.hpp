@@ -1,13 +1,16 @@
 // Internal helpers shared by the legacy (v1/v2) stream pipeline in
-// stream.cpp and the format-v3 pipeline in stream_v3.cpp. Not part of the
-// public API — include only from core/ translation units.
+// stream.cpp and the format-v3 pipeline and shared readers in
+// stream_v3.cpp. Not part of the public API — include only from core/
+// translation units.
 #pragma once
 
 #include <limits>
 #include <span>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
+#include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "gpusim/launcher.hpp"
@@ -119,6 +122,72 @@ inline u16 footerDigestAt(const std::byte* footer, u64 blk) {
       std::to_integer<u16>(footer[kDigestBytes * blk]) |
       (std::to_integer<u16>(footer[kDigestBytes * blk + 1]) << 8));
 }
+
+/// In-kernel check of block `blk` against its footer slot: digests the
+/// block's descriptor and payload (charging the ops to `mem`) and compares.
+inline bool kernelDigestMatches(gpusim::MemCounters& mem,
+                                const std::byte* descs,
+                                const std::byte* footer, u64 blk,
+                                ConstByteSpan payload) {
+  return kernelBlockDigest(
+             mem, ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
+             payload) == footerDigestAt(footer, blk);
+}
+
+/// Sentinel of a decode tile's failing-block slot: every digest matched.
+inline constexpr u64 kNoBadBlock = ~u64{0};
+
+/// After a decode launch: throws the digest error for the lowest failing
+/// block any tile recorded. Tiles are scanned in index order and each slot
+/// holds its tile's lowest failing block, so the message is the same at
+/// every worker count and tile completion order.
+void throwFirstDigestMismatch(const char* api, std::span<const u64> tileBad,
+                              std::span<const u64> blockStart,
+                              usize payloadBegin);
+
+/// The header's whole-stream CRC-32: over every byte after the 40-byte
+/// header, with 0 (the "absent" marker) mapped to 1.
+inline u32 streamCrc(ConstByteSpan stream) {
+  const u32 crc = crc32(stream.subspan(StreamHeader::kBytes));
+  return crc == 0 ? 1 : crc;
+}
+
+/// Sets header.checksum to streamCrc(stream) and re-serializes the header
+/// into the stream's first 40 bytes.
+inline void stampStreamCrc(StreamHeader& header, std::span<std::byte> stream) {
+  header.checksum = streamCrc(stream);
+  header.serialize(stream.data());
+}
+
+/// Block `blk`'s descriptor under the header's format version. Before v3
+/// every byte is a legacy FLE offset byte — including a (corrupted) byte
+/// in the 0x20-0x7F range that v3 reserves for its pipeline ids.
+inline V3BlockDesc descriptorAt(const StreamHeader& header,
+                                const std::byte* descs, u64 blk) {
+  const std::byte* at = descs + blk * kV3DescBytes;
+  if (header.version >= kFormatVersionV3) return V3BlockDesc::unpack(at);
+  return V3BlockDesc{PipelineId::Fle, std::to_integer<u8>(*at)};
+}
+
+/// The host descriptor walk every reader of every format version shares.
+/// Positions each block from its descriptor (descriptorAt) into
+/// `blockStart` — numBlocks + 1 exclusive prefix positions, the last one
+/// the payload total — and checks it against the payload region. The
+/// dictionary section is empty before v3, and the per-block footer (with
+/// its digests and the exact-framing check) is present iff
+/// hasBlockChecksums().
+///
+/// Strict (`verdicts` empty): throws Error naming `api`, the block and its
+/// stream byte offset on the first unknown pipeline id, payload overrun or
+/// (with `checkDigests`) digest mismatch, then on a framing mismatch.
+/// Salvage: never throws; records each bad block's verdict — Truncated,
+/// ChecksumMismatch, or DecodeError for an unknown pipeline id or for a
+/// Huffman block without `huffmanDecodable` — and returns whether the
+/// framing is damaged.
+bool walkBlockLayout(const char* api, const StreamHeader& header,
+                     ConstByteSpan stream, std::span<u64> blockStart,
+                     bool checkDigests, std::span<BlockVerdict> verdicts = {},
+                     bool huffmanDecodable = true);
 
 inline KernelProfile makeProfile(const gpusim::LaunchResult& launch,
                                  const gpusim::TimingModel& timing,

@@ -1,5 +1,6 @@
-// Format-v3 pipeline paths of CompressorStream (see core/pipeline.hpp and
-// docs/FORMAT.md for the wire layout).
+// Format-v3 compress and full decode of CompressorStream, plus the readers
+// every format version shares (see core/pipeline.hpp and docs/FORMAT.md
+// for the wire layout).
 //
 // Compression is a two-kernel pass with a host selection stage between
 // them, replacing the legacy single kernel + decoupled-lookback scan:
@@ -21,6 +22,13 @@
 // before decoding it, so no v3 call pays a separate footer pass. The
 // detect-and-retry machinery of the legacy path (Config::faultRetries)
 // does not apply to the v3 kernels.
+//
+// The block-range read ("random_access_decode"), replaceBlocks and the
+// salvage decoder serve every format version from one host descriptor
+// walk (walkBlockLayout): a v1 stream is a v3 stream whose descriptors are
+// all FLE offset bytes, with no dictionary and no footer, and v2 adds the
+// footer. Only the legacy single-kernel compress and its lookback full
+// decode stay in stream.cpp.
 #include <algorithm>
 #include <cstring>
 #include <optional>
@@ -40,12 +48,20 @@ namespace {
 
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
+using detail::descriptorAt;
 using detail::footerDigestAt;
 using detail::kDigestBytes;
 using detail::kernelBlockDigest;
+using detail::kernelDigestMatches;
+using detail::kNoBadBlock;
 using detail::makeProfile;
 using detail::putFooterDigest;
 using detail::residualsToQuants;
+using detail::secondOrderDiff;
+using detail::stampStreamCrc;
+using detail::streamCrc;
+using detail::throwFirstDigestMismatch;
+using detail::walkBlockLayout;
 
 void put32(std::byte* p, u32 v) {
   for (int i = 0; i < 4; ++i) {
@@ -66,9 +82,6 @@ void put16(std::byte* p, u16 v) {
   p[1] = static_cast<std::byte>(v >> 8);
 }
 
-/// Sentinel of a decode tile's failing-block slot: every digest matched.
-constexpr u64 kNoBadBlock = ~u64{0};
-
 [[noreturn]] void throwDigestMismatch(const char* api, u64 blk,
                                       u64 byteOffset) {
   throw Error(std::string(api) + ": per-block checksum mismatch at block " +
@@ -76,85 +89,13 @@ constexpr u64 kNoBadBlock = ~u64{0};
               std::to_string(byteOffset) + ") — the stream is corrupted");
 }
 
-/// After a decode launch: throws the digest error for the lowest failing
-/// block any tile recorded. Tiles are scanned in index order and each slot
-/// holds its tile's lowest failing block, so the message is the same at
-/// every worker count and tile completion order.
-void throwFirstDigestMismatch(const char* api, std::span<const u64> tileBad,
-                              std::span<const u64> blockStart,
-                              usize payloadBegin) {
-  for (const u64 blk : tileBad) {
-    if (blk != kNoBadBlock) {
-      throwDigestMismatch(api, blk, payloadBegin + blockStart[blk]);
-    }
-  }
-}
-
-/// Strict validation of a v3 stream's block layout before any payload
-/// decode: every descriptor must name a known pipeline, and the
-/// prefix-summed payload positions must stay inside the payload region and
-/// land exactly on the footer. With `checkDigests` every block's digest
-/// must match too (replaceBlocks, whose splice has no decode kernel to
-/// check them; the decode kernels check their own blocks). Fills
-/// `blockStart` (exclusive prefix positions) when non-empty and returns
-/// the total payload size.
-u64 validateV3Layout(const char* api, const StreamHeader& header,
-                     ConstByteSpan stream, bool checkDigests,
-                     std::span<u64> blockStart = {}) {
-  const u64 numBlocks = header.numBlocks();
-  const usize payloadBegin = header.payloadBegin();
-  const usize footerB = header.footerBytes();
-  const usize payloadAvail = stream.size() - payloadBegin - footerB;
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + payloadBegin;
-  const std::byte* footer = stream.data() + (stream.size() - footerB);
-  const PayloadSizeTable psize(header.blockSize);
-
-  u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    if (!blockStart.empty()) blockStart[blk] = cursor;
-    const std::byte* descBytes = descs + blk * kV3DescBytes;
-    const V3BlockDesc desc = V3BlockDesc::unpack(descBytes);
-    if (!desc.knownPipeline()) {
-      throw Error(std::string(api) + ": unknown pipeline id " +
-                  std::to_string(static_cast<u32>(desc.pipeline)) +
-                  " at block " + std::to_string(blk) +
-                  " — the descriptor array is corrupt");
-    }
-    const usize size =
-        desc.payloadBytes(psize, payload + cursor, payloadAvail - cursor);
-    if (cursor + size > payloadAvail) {
-      throw Error(std::string(api) +
-                  ": descriptors imply a payload overrun at block " +
-                  std::to_string(blk) + " (stream byte offset " +
-                  std::to_string(payloadBegin + cursor) + ", needs " +
-                  std::to_string(size) + " bytes) — the stream is corrupt "
-                  "or truncated");
-    }
-    if (checkDigests &&
-        footerDigestAt(footer, blk) !=
-            blockDigestV3(ConstByteSpan(descBytes, kV3DescBytes),
-                          ConstByteSpan(payload + cursor, size))) {
-      throwDigestMismatch(api, blk, payloadBegin + cursor);
-    }
-    cursor += size;
-  }
-  if (payloadBegin + cursor + footerB != stream.size()) {
-    throw Error(std::string(api) +
-                ": version-3 stream framing mismatch (descriptors imply " +
-                std::to_string(payloadBegin + cursor + footerB) +
-                " bytes, stream has " + std::to_string(stream.size()) +
-                ") — the stream is corrupted or truncated");
-  }
-  return cursor;
-}
-
 /// Strict parse of the v3 dictionary section: [u32 tableBytes][u32 CRC-32]
 /// [serialized table]. Returns an empty table for a stream that ships no
-/// Huffman blocks (tableBytes == 0).
-HuffTable parseDictV3(const char* api, const StreamHeader& header,
-                      ConstByteSpan stream) {
-  if (header.numBlocks() == 0) return {};
+/// Huffman blocks (tableBytes == 0) or has no section (v1/v2, or no
+/// blocks).
+HuffTable parseDictionary(const char* api, const StreamHeader& header,
+                          ConstByteSpan stream) {
+  if (header.dictBytes == 0) return {};
   const std::byte* dict = stream.data() + header.dictBegin();
   const u32 tableBytes = get32(dict);
   require(8 + static_cast<usize>(tableBytes) == header.dictBytes,
@@ -169,11 +110,13 @@ HuffTable parseDictV3(const char* api, const StreamHeader& header,
   return HuffTable::parse(tableSpan);
 }
 
-/// Decodes one v3 block's payload into quantization integers (full padded
-/// block length). Throws cuszp2::Error on malformed payloads.
+/// Decodes one block's payload into quantization integers (full padded
+/// block length). `predictor` is the header's: v1/v2 FLE blocks may be
+/// SecondOrder, v3 streams are always FirstOrder. Throws cuszp2::Error on
+/// malformed payloads.
 void decodeBlockV3(const V3BlockDesc& desc, ConstByteSpan payload,
                    const BlockCodec& codec, const HuffDecoder* decoder,
-                   std::span<i32> quants) {
+                   Predictor predictor, std::span<i32> quants) {
   const usize L = quants.size();
   i32 resArr[256];
   std::span<i32> res(resArr, L);
@@ -191,7 +134,7 @@ void decodeBlockV3(const V3BlockDesc& desc, ConstByteSpan payload,
       if (desc.pipeline == PipelineId::LorenzoFle) {
         lorenzo2dReconstruct(res, quants);
       } else {
-        residualsToQuants(res, quants, Predictor::FirstOrder);
+        residualsToQuants(res, quants, predictor);
       }
       return;
     }
@@ -213,6 +156,91 @@ void decodeBlockV3(const V3BlockDesc& desc, ConstByteSpan payload,
 }
 
 }  // namespace
+
+namespace detail {
+
+void throwFirstDigestMismatch(const char* api, std::span<const u64> tileBad,
+                              std::span<const u64> blockStart,
+                              usize payloadBegin) {
+  for (const u64 blk : tileBad) {
+    if (blk != kNoBadBlock) {
+      throwDigestMismatch(api, blk, payloadBegin + blockStart[blk]);
+    }
+  }
+}
+
+bool walkBlockLayout(const char* api, const StreamHeader& header,
+                     ConstByteSpan stream, std::span<u64> blockStart,
+                     bool checkDigests, std::span<BlockVerdict> verdicts,
+                     bool huffmanDecodable) {
+  const bool strict = verdicts.empty();
+  const bool digests = checkDigests && header.hasBlockChecksums();
+  const u64 numBlocks = header.numBlocks();
+  const usize payloadBegin = header.payloadBegin();
+  const usize footerB = header.footerBytes();
+  const usize payloadAvail = stream.size() - payloadBegin - footerB;
+  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
+  const std::byte* payload = stream.data() + payloadBegin;
+  const std::byte* footer = payload + payloadAvail;
+  const char* descName =
+      header.version >= kFormatVersionV3 ? "descriptors" : "offset bytes";
+  const PayloadSizeTable psize(header.blockSize);
+
+  u64 cursor = 0;
+  for (u64 blk = 0; blk < numBlocks; ++blk) {
+    blockStart[blk] = cursor;
+    const V3BlockDesc desc = descriptorAt(header, descs, blk);
+    const usize remaining =
+        cursor <= payloadAvail ? payloadAvail - cursor : 0;
+    const usize size = desc.payloadBytes(
+        psize, remaining > 0 ? payload + cursor : payload, remaining);
+    const bool inBounds = cursor <= payloadAvail && size <= remaining;
+    const bool digestOk =
+        !inBounds || !digests ||
+        footerDigestAt(footer, blk) ==
+            blockDigestV3(
+                ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
+                ConstByteSpan(payload + cursor, size));
+    if (strict) {
+      if (!desc.knownPipeline()) {
+        throw Error(std::string(api) + ": unknown pipeline id " +
+                    std::to_string(static_cast<u32>(desc.pipeline)) +
+                    " at block " + std::to_string(blk) +
+                    " — the descriptor array is corrupt");
+      }
+      if (!inBounds) {
+        throw Error(std::string(api) + ": " + descName +
+                    " imply a payload overrun at block " +
+                    std::to_string(blk) + " (stream byte offset " +
+                    std::to_string(payloadBegin + cursor) + ", needs " +
+                    std::to_string(size) + " bytes, " +
+                    std::to_string(remaining) +
+                    " available) — the stream is corrupt or truncated");
+      }
+      if (!digestOk) throwDigestMismatch(api, blk, payloadBegin + cursor);
+    } else if (!inBounds) {
+      verdicts[blk] = BlockVerdict::Truncated;
+    } else if (!digestOk) {
+      verdicts[blk] = BlockVerdict::ChecksumMismatch;
+    } else if (!desc.knownPipeline() ||
+               (desc.pipeline == PipelineId::Huffman && !huffmanDecodable)) {
+      verdicts[blk] = BlockVerdict::DecodeError;
+    }
+    cursor += size;
+  }
+  blockStart[numBlocks] = cursor;
+  const bool framed = payloadBegin + cursor + footerB == stream.size();
+  if (!header.hasBlockChecksums() || framed) return false;
+  if (!strict) return true;
+  throw Error(std::string(api) + ": version-" +
+              std::to_string(header.version) +
+              " stream framing mismatch (" + descName + " imply " +
+              std::to_string(payloadBegin + cursor + footerB) +
+              " bytes, stream has " + std::to_string(stream.size()) +
+              ") — the stream is corrupted or truncated");
+}
+
+}  // namespace detail
 
 template <FloatingPoint T>
 Compressed CompressorStream::compressV3(std::span<const T> data) {
@@ -440,11 +468,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
       launcher_.launch(tiles, encodeBody, 0, {}, "v3_encode");
 
   if (config_.checksum) {
-    header.checksum = crc32(ConstByteSpan(
-        staging + StreamHeader::offsetsBegin(),
-        finalBytes - StreamHeader::offsetsBegin()));
-    if (header.checksum == 0) header.checksum = 1;  // 0 = "absent"
-    header.serialize(staging);
+    stampStreamCrc(header, std::span<std::byte>(staging, finalBytes));
     passSeconds += gpusim::modelledPassSeconds(finalBytes, timing_.spec(),
                                                1.0);
   }
@@ -468,11 +492,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   // budget, parsed the header and checked the precision tag.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    require(crc == header.checksum,
+    require(streamCrc(stream) == header.checksum,
             "decompress: checksum mismatch — the stream is corrupted");
     checksumSeconds += gpusim::modelledPassSeconds(stream.size(),
                                                    timing_.spec(), 1.0);
@@ -491,21 +511,18 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
     return out;
   }
 
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  validateV3Layout("decompress", header, stream, false, blockStart);
+  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks + 1);
+  walkBlockLayout("decompress", header, stream, blockStart, false);
 
-  const HuffTable table = parseDictV3("decompress", header, stream);
+  const HuffTable table = parseDictionary("decompress", header, stream);
   std::optional<HuffDecoder> decoder;
   if (!table.empty()) decoder.emplace(table);
 
   const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
   const std::byte* payload = stream.data() + header.payloadBegin();
-  const usize payloadAvail =
-      stream.size() - header.payloadBegin() - header.footerBytes();
-  const std::byte* footer = payload + payloadAvail;
+  const std::byte* footer = payload + blockStart[numBlocks];
   const Quantizer quantizer(header.absErrorBound);
   const BlockCodec codec(L);
-  const PayloadSizeTable psize(L);
   const AccessRecorder access{config_.vectorizedAccess,
                               timing_.spec().transactionBytes};
   const HuffDecoder* decoderPtr = decoder ? &*decoder : nullptr;
@@ -523,22 +540,18 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
     u64 zeroBytes = 0;
     u64 firstBad = kNoBadBlock;
     for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
-      const V3BlockDesc desc =
-          V3BlockDesc::unpack(descs + blk * kV3DescBytes);
-      const usize size = desc.payloadBytes(
-          psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
-      const ConstByteSpan blockBytes(payload + blockStart[blk], size);
+      const V3BlockDesc desc = descriptorAt(header, descs, blk);
+      const ConstByteSpan blockBytes(payload + blockStart[blk],
+                                     blockStart[blk + 1] - blockStart[blk]);
       // A block that fails its digest is skipped, never decoded; the host
       // raises the error after the launch.
-      if (kernelBlockDigest(
-              ctx.mem, ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
-              blockBytes) != footerDigestAt(footer, blk)) {
+      if (!kernelDigestMatches(ctx.mem, descs, footer, blk, blockBytes)) {
         firstBad = std::min(firstBad, blk);
         continue;
       }
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
-      if (size == 0 && desc.pipeline != PipelineId::Huffman &&
+      if (blockBytes.empty() && desc.pipeline != PipelineId::Huffman &&
           desc.pipeline != PipelineId::Rle) {
         // Zero block: flush with device memset (as in the legacy path).
         for (u64 e = eFirst; e < eLast; ++e) out.data[e] = T{};
@@ -546,12 +559,12 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
         continue;
       }
       const std::span<i32> q(quantsArr, L);
-      decodeBlockV3(desc, blockBytes, codec, decoderPtr, q);
+      decodeBlockV3(desc, blockBytes, codec, decoderPtr, header.predictor, q);
       dequantizeSpan(quantizer,
                      std::span<const i32>(quantsArr, eLast - eFirst),
                      out.data.data() + eFirst);
       decodedElems += eLast - eFirst;
-      payloadBytesRead += size;
+      payloadBytesRead += blockBytes.size();
     }
     tileBad[ctx.blockIdx] = firstBad;
     access.read(ctx.mem, (lastBlock - firstBlock) * kV3DescBytes, 4);
@@ -574,29 +587,36 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
 }
 
 template <FloatingPoint T>
-BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
-                                                   const StreamHeader& header,
-                                                   u64 firstBlock,
-                                                   u64 blockCount) {
-  // Caller validated precision and the block range.
+BlockRange<T> CompressorStream::decompressBlocks(ConstByteSpan stream,
+                                                 u64 firstBlock,
+                                                 u64 blockCount) {
+  arena_.reset();
+  applyInjectedArenaBudget();
+  const StreamHeader header = StreamHeader::parse(stream);
+  require(header.precision == precisionOf<T>(),
+          "decompressBlocks: stream precision mismatch");
   const u64 numBlocks = header.numBlocks();
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  validateV3Layout("decompressBlocks", header, stream, false, blockStart);
-  const HuffTable table = parseDictV3("decompressBlocks", header, stream);
+  require(firstBlock < numBlocks && blockCount > 0 &&
+              firstBlock + blockCount <= numBlocks,
+          "decompressBlocks: block range out of bounds");
+
+  // The whole layout is walked before any payload read (a corrupt
+  // descriptor anywhere shifts every later block).
+  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks + 1);
+  walkBlockLayout("decompressBlocks", header, stream, blockStart, false);
+  const HuffTable table = parseDictionary("decompressBlocks", header, stream);
   std::optional<HuffDecoder> decoder;
   if (!table.empty()) decoder.emplace(table);
 
   const u32 L = header.blockSize;
   const u32 bpt = config_.blocksPerTile;
   const u64 n = header.numElements;
+  const bool digests = header.hasBlockChecksums();
   const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
   const std::byte* payload = stream.data() + header.payloadBegin();
-  const usize payloadAvail =
-      stream.size() - header.payloadBegin() - header.footerBytes();
-  const std::byte* footer = payload + payloadAvail;
+  const std::byte* footer = payload + blockStart[numBlocks];
   const Quantizer quantizer(header.absErrorBound);
   const BlockCodec codec(L);
-  const PayloadSizeTable psize(L);
   const AccessRecorder access{config_.vectorizedAccess,
                               timing_.spec().transactionBytes};
   const HuffDecoder* decoderPtr = decoder ? &*decoder : nullptr;
@@ -606,9 +626,12 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
   const u64 lastElement = std::min<u64>(n, (firstBlock + blockCount) * L);
   out.values.assign(lastElement - out.firstElement, T{});
 
-  // Positions come from the host descriptor walk, so only tiles covering
-  // the requested range launch work; the descriptor array read replaces
-  // the legacy offset-byte scan. Only the requested blocks are digested.
+  // Positions come from the host descriptor walk, so no tile waits on a
+  // lookback and only tiles covering the requested range decode; each
+  // tile reads just its descriptors (1 byte per block) otherwise. This is
+  // why random access reaches TB-level throughput relative to the
+  // original data size (paper Fig. 20). With a footer, only the requested
+  // blocks are digested.
   const u32 tiles =
       static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
   const std::span<u64> tileBad = arena_.allocSpan<u64>(tiles);
@@ -624,27 +647,26 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
     i32 quantsArr[256];
     const u64 rFirst = std::max(tFirst, firstBlock);
     const u64 rLast = std::min(tLast, firstBlock + blockCount);
-    access.read(ctx.mem, (rLast - rFirst) * kDigestBytes, kDigestBytes);
+    if (digests) {
+      access.read(ctx.mem, (rLast - rFirst) * kDigestBytes, kDigestBytes);
+    }
     for (u64 blk = rFirst; blk < rLast; ++blk) {
-      const V3BlockDesc desc =
-          V3BlockDesc::unpack(descs + blk * kV3DescBytes);
-      const usize size = desc.payloadBytes(
-          psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
-      const ConstByteSpan blockBytes(payload + blockStart[blk], size);
-      if (kernelBlockDigest(
-              ctx.mem, ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
-              blockBytes) != footerDigestAt(footer, blk)) {
+      const ConstByteSpan blockBytes(payload + blockStart[blk],
+                                     blockStart[blk + 1] - blockStart[blk]);
+      if (digests &&
+          !kernelDigestMatches(ctx.mem, descs, footer, blk, blockBytes)) {
         tileBad[ctx.blockIdx] = std::min(tileBad[ctx.blockIdx], blk);
         continue;
       }
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
       const std::span<i32> q(quantsArr, L);
-      decodeBlockV3(desc, blockBytes, codec, decoderPtr, q);
+      decodeBlockV3(descriptorAt(header, descs, blk), blockBytes, codec,
+                    decoderPtr, header.predictor, q);
       dequantizeSpan(quantizer,
                      std::span<const i32>(quantsArr, eLast - eFirst),
                      out.values.data() + (eFirst - out.firstElement));
-      access.read(ctx.mem, size, 4);
+      access.read(ctx.mem, blockBytes.size(), 4);
       access.write(ctx.mem, (eLast - eFirst) * sizeof(T), sizeof(T));
       ctx.mem.noteOps((eLast - eFirst) * 8);
     }
@@ -661,10 +683,15 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
 }
 
 template <FloatingPoint T>
-Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
-                                             const StreamHeader& header,
-                                             u64 firstBlock,
-                                             std::span<const T> values) {
+Compressed CompressorStream::replaceBlocks(ConstByteSpan stream,
+                                           u64 firstBlock,
+                                           std::span<const T> values) {
+  arena_.reset();
+  applyInjectedArenaBudget();
+  const StreamHeader header = StreamHeader::parse(stream);
+  require(header.precision == precisionOf<T>(),
+          "replaceBlocks: stream precision mismatch");
+  require(!values.empty(), "replaceBlocks: values must be non-empty");
   const u32 L = header.blockSize;
   const u64 n = header.numElements;
   const u64 numBlocks = header.numBlocks();
@@ -677,34 +704,32 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
           "replaceBlocks: values must cover whole blocks (size must be "
           "a multiple of the block size or end at the stream tail)");
 
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  const u64 totalPayload =
-      validateV3Layout("replaceBlocks", header, stream, true, blockStart);
-  parseDictV3("replaceBlocks", header, stream);  // integrity only
+  // The whole layout and every footer digest are checked before the
+  // splice reads any payload byte: no decode kernel checks them here.
+  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks + 1);
+  walkBlockLayout("replaceBlocks", header, stream, blockStart, true);
+  parseDictionary("replaceBlocks", header, stream);  // integrity only
 
   const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
   const std::byte* payload = stream.data() + header.payloadBegin();
-  const PayloadSizeTable psize(L);
+  const u64 totalPayload = blockStart[numBlocks];
   const u64 rangeStart = blockStart[firstBlock];
-  const u64 lastReplaced = firstBlock + blockCount - 1;
-  const u64 rangeEnd =
-      blockStart[lastReplaced] +
-      V3BlockDesc::unpack(descs + lastReplaced * kV3DescBytes)
-          .payloadBytes(psize, payload + blockStart[lastReplaced],
-                        totalPayload - blockStart[lastReplaced]);
+  const u64 rangeEnd = blockStart[firstBlock + blockCount];
 
   // Re-encode the replacement blocks with the FLE pipeline under the
-  // stream's bound and mode. Spliced blocks do not consult the shared
-  // dictionary, so the dictionary section passes through unchanged and
-  // stays valid for every untouched Huffman block.
+  // stream's bound, mode and predictor (one small kernel). An FLE
+  // descriptor is the legacy offset byte, so v1/v2 streams get exactly
+  // the bytes their writer would produce. Spliced blocks do not consult
+  // the shared dictionary, so a v3 dictionary section passes through
+  // unchanged and stays valid for every untouched Huffman block.
   const Quantizer quantizer(header.absErrorBound, config_.roundingMode);
   const BlockCodec codec(L);
   const std::span<std::byte> newDescs =
       arena_.allocSpan<std::byte>(blockCount * kV3DescBytes);
   const std::span<std::byte> newPayload =
       arena_.allocSpan<std::byte>(blockCount * maxPayloadSize(L));
-  const std::span<u64> newSizes = arena_.allocSpan<u64>(blockCount);
   const std::span<i32> blockScratch = arena_.allocSpan<i32>(L);
+  u64 newRangeBytes = 0;
   const std::function<void(gpusim::BlockCtx&)> reencodeBody =
       [&](gpusim::BlockCtx& ctx) {
     std::span<i32> q = blockScratch;
@@ -714,15 +739,14 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
       const u64 vLast = std::min<u64>(values.size(), vFirst + L);
       quantizeDiffBlock(quantizer, values.subspan(vFirst, vLast - vFirst),
                         q);
+      if (header.predictor == Predictor::SecondOrder) secondOrderDiff(q);
       const auto plan = codec.planResiduals(q, header.mode);
-      V3BlockDesc desc;
-      desc.pipeline = PipelineId::Fle;
-      desc.offsetByte = plan.header.pack();
-      desc.pack(newDescs.data() + b * kV3DescBytes);
+      V3BlockDesc{PipelineId::Fle, plan.header.pack()}.pack(
+          newDescs.data() + b * kV3DescBytes);
       codec.encodeResiduals(q, plan, newPayload.data() + cursor);
-      newSizes[b] = plan.payloadBytes;
       cursor += plan.payloadBytes;
     }
+    newRangeBytes = cursor;
     ctx.mem.noteVectorRead(values.size() * sizeof(T), 32);
     ctx.mem.noteScalarRead(numBlocks * kV3DescBytes, 4, 32);
     ctx.mem.noteVectorWrite(cursor + blockCount * kV3DescBytes, 32);
@@ -730,11 +754,10 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
   };
   const auto launch =
       launcher_.launch(1, reencodeBody, 0, {}, "replace_blocks");
-  u64 newRangeBytes = 0;
-  for (const u64 s : newSizes) newRangeBytes += s;
 
   // Splice: header | descriptors (patched) | dict | payload prefix | new
-  // | suffix | footer (rebuilt) — the dictionary section is byte-copied.
+  // | suffix | footer (rebuilt, when the stream has one). The dictionary
+  // section (empty before v3) is byte-copied.
   Compressed out;
   out.originalBytes = header.originalBytes();
   out.stream.reserve(header.payloadBegin() + totalPayload -
@@ -760,18 +783,18 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
 
   // Rebuild the per-block CRC footer over the spliced stream (a pure
   // function of its descriptors and payloads).
-  {
+  if (header.hasBlockChecksums()) {
     std::vector<std::byte> footer(header.footerBytes());
     const std::byte* outDescs =
         out.stream.data() + StreamHeader::offsetsBegin();
     const std::byte* outPayload = out.stream.data() + header.payloadBegin();
     const u64 outPayloadBytes = out.stream.size() - header.payloadBegin();
+    const PayloadSizeTable psize(L);
     u64 cursor = 0;
     for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize size =
-          V3BlockDesc::unpack(outDescs + blk * kV3DescBytes)
-              .payloadBytes(psize, outPayload + cursor,
-                            outPayloadBytes - cursor);
+      const usize size = descriptorAt(header, outDescs, blk)
+                             .payloadBytes(psize, outPayload + cursor,
+                                           outPayloadBytes - cursor);
       const u16 digest = blockDigestV3(
           ConstByteSpan(outDescs + blk * kV3DescBytes, kV3DescBytes),
           ConstByteSpan(outPayload + cursor, size));
@@ -781,13 +804,10 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
     out.stream.insert(out.stream.end(), footer.begin(), footer.end());
   }
 
+  // Keep the integrity stamp valid after the splice.
   if (header.checksum != 0) {
     StreamHeader patched = header;
-    patched.checksum = crc32(ConstByteSpan(
-        out.stream.data() + StreamHeader::offsetsBegin(),
-        out.stream.size() - StreamHeader::offsetsBegin()));
-    if (patched.checksum == 0) patched.checksum = 1;
-    patched.serialize(out.stream.data());
+    stampStreamCrc(patched, out.stream);
   }
 
   out.ratio = static_cast<f64>(out.originalBytes) /
@@ -800,23 +820,42 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
 }
 
 template <FloatingPoint T>
-void CompressorStream::salvageV3(ConstByteSpan stream,
-                                 const StreamHeader& header, T fillValue,
-                                 Salvaged<T>& out) {
-  // Caller (decompressResilient) has set headerOk and blockChecksums and
-  // cleared the arena / failure budget; this fills the rest of the report,
-  // the data, and the profile. Never throws on corrupt input.
+Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
+                                                  T fillValue) {
+  arena_.reset();
+  // Salvage keeps its never-throws contract: clear (don't take) any
+  // injected arena budget.
+  arena_.clearFailureBudget();
+  Salvaged<T> out;
   DecodeReport& rep = out.report;
+  out.profile.endToEndSeconds = timing_.launchSeconds();
 
+  instruments_.salvageCalls->add(1);
+  std::string headerError;
+  const auto parsed = StreamHeader::tryParse(stream, &headerError);
+  if (!parsed) {
+    // Unparseable header: no block or byte counts are trustworthy, so
+    // nothing beyond the call counter reaches the registry.
+    rep.headerError = headerError;
+    return out;
+  }
+  const StreamHeader header = *parsed;
+  if (header.precision != precisionOf<T>()) {
+    rep.headerError =
+        "decompressResilient: stream precision does not match the "
+        "requested type";
+    return out;
+  }
+  rep.headerOk = true;
+  rep.blockChecksums = header.hasBlockChecksums();
+
+  // Whole-stream CRC verdict is informational in salvage mode: a
+  // mismatch localizes nothing, the per-block pass below decides.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    rep.streamChecksumOk = (crc == header.checksum);
-    checksumSeconds += gpusim::modelledPassSeconds(stream.size(),
-                                                   timing_.spec(), 1.0);
+    rep.streamChecksumOk = streamCrc(stream) == header.checksum;
+    checksumSeconds = gpusim::modelledPassSeconds(stream.size(),
+                                                  timing_.spec(), 1.0);
   }
 
   const u32 L = header.blockSize;
@@ -826,66 +865,42 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
   rep.totalBlocks = numBlocks;
   rep.verdicts.assign(numBlocks, BlockVerdict::Good);
   out.data.assign(n, fillValue);
-  if (n == 0) return;
+  if (n == 0) return out;
 
   // Dictionary verdict: a damaged section header, CRC, or table quarantines
   // every Huffman block but leaves the table-free pipelines decodable.
   HuffTable table;
   try {
-    table = parseDictV3("decompressResilient", header, stream);
+    table = parseDictionary("decompressResilient", header, stream);
   } catch (const Error&) {
     rep.dictionaryOk = false;
   }
   std::optional<HuffDecoder> decoder;
   if (rep.dictionaryOk && !table.empty()) decoder.emplace(table);
 
-  const usize payloadBegin = header.payloadBegin();
-  const usize footerB = header.footerBytes();
-  const usize payloadAvail = stream.size() - payloadBegin - footerB;
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + payloadBegin;
-  const std::byte* footer = stream.data() + (stream.size() - footerB);
-  const PayloadSizeTable psize(L);
-
-  // Host structural pass: position every block from the descriptor walk
-  // (entropy blocks advance by their u16 payload size prefix; unknown
-  // pipeline ids advance by zero and are quarantined), bounds-check, and
-  // verify each in-range block's digest. A Huffman block is decodable only
-  // with a good dictionary.
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    blockStart[blk] = cursor;
-    const std::byte* descBytes = descs + blk * kV3DescBytes;
-    const V3BlockDesc desc = V3BlockDesc::unpack(descBytes);
-    const usize remaining =
-        cursor <= payloadAvail ? payloadAvail - cursor : 0;
-    const usize size = desc.payloadBytes(
-        psize, remaining > 0 ? payload + cursor : payload, remaining);
-    if (cursor > payloadAvail || size > payloadAvail - cursor) {
-      rep.verdicts[blk] = BlockVerdict::Truncated;
-    } else if (footerDigestAt(footer, blk) !=
-               blockDigestV3(ConstByteSpan(descBytes, kV3DescBytes),
-                             ConstByteSpan(payload + cursor, size))) {
-      rep.verdicts[blk] = BlockVerdict::ChecksumMismatch;
-    } else if (!desc.knownPipeline() ||
-               (desc.pipeline == PipelineId::Huffman && !decoder)) {
-      rep.verdicts[blk] = BlockVerdict::DecodeError;
-    }
-    cursor += size;
-  }
-  if (payloadBegin + cursor + footerB != stream.size()) {
-    rep.framingDamaged = true;
-  }
+  // Host structural pass: position every block, bounds-check it, and
+  // verify each in-range block's digest when the stream has a footer. A
+  // truncated stream quarantines every block past the cut; a damaged
+  // descriptor shifts all later positions, so their digests fail too —
+  // exactly the blocks whose bytes can no longer be trusted.
+  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks + 1);
+  rep.framingDamaged =
+      walkBlockLayout("decompressResilient", header, stream, blockStart,
+                      true, rep.verdicts, decoder.has_value());
 
   const u32 tiles =
       static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
+  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
+  const std::byte* payload = stream.data() + header.payloadBegin();
   const Quantizer quantizer(header.absErrorBound);
   const BlockCodec codec(L);
   const AccessRecorder access{config_.vectorizedAccess,
                               timing_.spec().transactionBytes};
   const HuffDecoder* decoderPtr = decoder ? &*decoder : nullptr;
 
+  // Decode only the surviving blocks; quarantined blocks keep the fill.
+  // Block positions come from the host pass, so no scan state is needed
+  // (and corrupted descriptors cannot wedge an inter-tile protocol).
   const std::function<void(gpusim::BlockCtx&)> salvageBody =
       [&](gpusim::BlockCtx& ctx) {
     const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
@@ -895,16 +910,14 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
     u64 payloadBytesRead = 0;
     for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
       if (rep.verdicts[blk] != BlockVerdict::Good) continue;
-      const V3BlockDesc desc =
-          V3BlockDesc::unpack(descs + blk * kV3DescBytes);
-      const usize size = desc.payloadBytes(
-          psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
+      const usize size = blockStart[blk + 1] - blockStart[blk];
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
       try {
         const std::span<i32> q(quantsArr, L);
-        decodeBlockV3(desc, ConstByteSpan(payload + blockStart[blk], size),
-                      codec, decoderPtr, q);
+        decodeBlockV3(descriptorAt(header, descs, blk),
+                      ConstByteSpan(payload + blockStart[blk], size), codec,
+                      decoderPtr, header.predictor, q);
         dequantizeSpan(quantizer,
                        std::span<const i32>(quantsArr, eLast - eFirst),
                        out.data.data() + eFirst);
@@ -928,37 +941,37 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
     if (rep.verdicts[blk] == BlockVerdict::Good) continue;
     ++rep.badBlocks;
     if (rep.firstCorruptOffset == DecodeReport::kNoCorruption) {
-      rep.firstCorruptOffset = payloadBegin + blockStart[blk];
+      rep.firstCorruptOffset = header.payloadBegin() + blockStart[blk];
     }
   }
   rep.goodBlocks = numBlocks - rep.badBlocks;
+  instruments_.salvageBadBlocks->add(rep.badBlocks);
 
   out.profile =
       makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
+  return out;
 }
 
-// Explicit instantiations (access checking does not apply to explicit
-// instantiation of private members; the public entry points in stream.cpp
-// link against these).
+// Explicit instantiations. The private v3 entry points link from
+// stream.cpp (access checking does not apply to explicit instantiation of
+// private members).
 template Compressed CompressorStream::compressV3<f32>(std::span<const f32>);
 template Compressed CompressorStream::compressV3<f64>(std::span<const f64>);
 template Decompressed<f32> CompressorStream::decompressV3<f32>(
     ConstByteSpan, const StreamHeader&);
 template Decompressed<f64> CompressorStream::decompressV3<f64>(
     ConstByteSpan, const StreamHeader&);
-template BlockRange<f32> CompressorStream::decompressBlocksV3<f32>(
-    ConstByteSpan, const StreamHeader&, u64, u64);
-template BlockRange<f64> CompressorStream::decompressBlocksV3<f64>(
-    ConstByteSpan, const StreamHeader&, u64, u64);
-template Compressed CompressorStream::replaceBlocksV3<f32>(
-    ConstByteSpan, const StreamHeader&, u64, std::span<const f32>);
-template Compressed CompressorStream::replaceBlocksV3<f64>(
-    ConstByteSpan, const StreamHeader&, u64, std::span<const f64>);
-template void CompressorStream::salvageV3<f32>(ConstByteSpan,
-                                               const StreamHeader&, f32,
-                                               Salvaged<f32>&);
-template void CompressorStream::salvageV3<f64>(ConstByteSpan,
-                                               const StreamHeader&, f64,
-                                               Salvaged<f64>&);
+template BlockRange<f32> CompressorStream::decompressBlocks<f32>(
+    ConstByteSpan, u64, u64);
+template BlockRange<f64> CompressorStream::decompressBlocks<f64>(
+    ConstByteSpan, u64, u64);
+template Compressed CompressorStream::replaceBlocks<f32>(
+    ConstByteSpan, u64, std::span<const f32>);
+template Compressed CompressorStream::replaceBlocks<f64>(
+    ConstByteSpan, u64, std::span<const f64>);
+template Salvaged<f32> CompressorStream::decompressResilient<f32>(
+    ConstByteSpan, f32);
+template Salvaged<f64> CompressorStream::decompressResilient<f64>(
+    ConstByteSpan, f64);
 
 }  // namespace cuszp2::core

@@ -231,5 +231,52 @@ TEST(ModelTraceability, V3DecodeIsOneKernelPlusStreamCrcPass) {
   }
 }
 
+/// A v2 full decode is likewise its one lookback kernel, plus the stream
+/// CRC-32 pass only when the stream carries one: the kernel checks each
+/// block's footer digest once the scan has positioned it, so no separate
+/// footer pass is charged. Against the v1 stream of the same field (the
+/// same offsets and payload, no footer) the kernel's ops grow by exactly
+/// the digested bytes; the lookback charges no ops, so this is
+/// independent of tile completion order.
+TEST(ModelTraceability, V2DecodeIsOneKernelPlusStreamCrcPass) {
+  const std::vector<f32> field = datagen::generateF32("jetin", 0, 1 << 14);
+  for (const bool checksum : {false, true}) {
+    core::Config cfg;
+    cfg.absErrorBound = 1e-3;
+    cfg.checksum = checksum;
+    core::CompressorStream v1codec(cfg);
+    const auto v1 = v1codec.compress<f32>(std::span<const f32>(field));
+    cfg.blockChecksums = true;
+    core::CompressorStream codec(cfg);
+    const auto c = codec.compress<f32>(std::span<const f32>(field));
+
+    telemetry::TraceSession trace;
+    core::Decompressed<f32> d;
+    {
+      telemetry::ScopedTrace scoped(trace);
+      d = codec.decompress<f32>(c.stream);
+    }
+    TracedKernels k = tracedKernels(trace);
+    ASSERT_EQ(k.launches.size(), 1u) << checksum;
+    ASSERT_EQ(k.launches["decompress"], 1);
+    const f64 crcPass =
+        checksum ? modelledPassSeconds(c.stream.size(), a100_40gb(), 1.0)
+                 : 0.0;
+    EXPECT_DOUBLE_EQ(d.profile.endToEndSeconds,
+                     k.seconds["decompress"] + crcPass)
+        << "checksum " << checksum;
+
+    const core::StreamHeader header = core::StreamHeader::parse(c.stream);
+    const u64 numBlocks = header.numBlocks();
+    const u64 payloadBytes =
+        c.stream.size() - header.payloadBegin() - header.footerBytes();
+    const auto plain = v1codec.decompress<f32>(v1.stream);
+    EXPECT_EQ(d.profile.mem.arithmeticOps,
+              plain.profile.mem.arithmeticOps +
+                  (numBlocks + payloadBytes) * kDigestOpsPerByte);
+    EXPECT_EQ(d.data, plain.data);
+  }
+}
+
 }  // namespace
 }  // namespace cuszp2::gpusim

@@ -73,6 +73,12 @@ for p in auto huffman; do
     "${smoke_dir}/in.f32" "${smoke_dir}/out-${p}.czp2"
 done
 
+# The structured decode fuzzer with a second seed, in the release build
+# too: the ASan leg below replays seed 1, this varies the mutants every
+# reader (strict, block range, replaceBlocks, salvage) has to survive.
+echo "==== [release] fuzz_decode (500 structured mutants, seed 7) ===="
+"${repo_root}/build-ci-release/tools/fuzz_decode" 500 7
+
 # The ASan leg pins scalar: the sanitizer instruments the scalar loops
 # (the semantic reference), and the vector intrinsics would only slow the
 # already-expensive pass without adding coverage ASan can act on.

@@ -4,18 +4,24 @@
 // with and without checksums, tails, zero runs), then applies structured
 // mutations — truncations at region boundaries, bit/byte flips aimed at
 // the header / offset array / payload / footer, garbage extension — and
-// drives both decode paths on every mutant:
+// drives every reader on every mutant:
 //
 //   strict  decompress()           must throw core::Error or succeed —
 //                                  never crash, hang, or read out of
 //                                  bounds (run under ASan/UBSan in CI);
+//   range   decompressBlocks()     over a seeded block range, and
+//   splice  replaceBlocks()        of one seeded block: the same rule;
 //   salvage decompressResilient()  must never throw and must return a
 //                                  self-consistent DecodeReport.
+//
+// The summary line counts strict decompress() rejections and salvage
+// reports that are not clean.
 //
 //   usage: fuzz_decode [iterations=500] [seed=1]
 //
 // Exit 0 when every mutant held the invariants; 1 otherwise, printing the
 // (seed, iteration) needed to replay the failure.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -195,14 +201,38 @@ std::string mutate(Rng& rng, std::vector<std::byte>& s) {
   }
 }
 
-/// Runs both decode paths over one mutant; returns an empty string when
-/// all invariants held, else a description of the violation.
+/// Runs every reader over one mutant, drawing the block range and the
+/// spliced block from `rng`; returns an empty string when all invariants
+/// held, else a description of the violation.
 template <FloatingPoint T>
-std::string driveTyped(core::CompressorStream& codec, ConstByteSpan s) {
+std::string driveTyped(core::CompressorStream& codec, ConstByteSpan s,
+                       Rng& rng) {
+  // Rejection (core::Error) is a correct outcome for every strict reader.
   try {
     (void)codec.decompress<T>(s);
   } catch (const Error&) {
-    // Rejection is a correct strict-mode outcome.
+  }
+  const auto header = core::StreamHeader::tryParse(s);
+  const u64 numBlocks = header ? header->numBlocks() : 0;
+  const u64 blockSize = header ? header->blockSize : 32;
+  const u64 numElements = header ? header->numElements : blockSize;
+  const u64 first = rng.uniformInt(std::max<u64>(numBlocks, 1));
+  const u64 count =
+      1 + rng.uniformInt(std::max<u64>(numBlocks, first + 1) - first);
+  try {
+    (void)codec.decompressBlocks<T>(s, first, count);
+  } catch (const Error&) {
+  }
+  const u64 eFirst = first * blockSize;
+  std::vector<T> values(
+      eFirst < numElements ? std::min(blockSize, numElements - eFirst)
+                           : blockSize);
+  for (usize i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<T>(rng.uniform(-100.0, 100.0));
+  }
+  try {
+    (void)codec.replaceBlocks<T>(s, first, std::span<const T>(values));
+  } catch (const Error&) {
   }
 
   const auto salvaged = codec.decompressResilient<T>(s, T{-1});
@@ -233,10 +263,10 @@ std::string driveTyped(core::CompressorStream& codec, ConstByteSpan s) {
 }
 
 std::string drive(core::CompressorStream& codec, const BaseStream& base,
-                  ConstByteSpan mutant) {
+                  ConstByteSpan mutant, Rng& rng) {
   return base.precision == Precision::F32
-             ? driveTyped<f32>(codec, mutant)
-             : driveTyped<f64>(codec, mutant);
+             ? driveTyped<f32>(codec, mutant, rng)
+             : driveTyped<f64>(codec, mutant, rng);
 }
 
 }  // namespace
@@ -258,7 +288,7 @@ int main(int argc, char** argv) {
     std::vector<std::byte> mutant = base.bytes;
     const std::string what = mutate(rng, mutant);
 
-    const std::string violation = drive(codec, base, mutant);
+    const std::string violation = drive(codec, base, mutant, rng);
     if (!violation.empty()) {
       std::fprintf(stderr,
                    "fuzz_decode FAILED: %s (mutation: %s, seed %llu, "
