@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
@@ -21,6 +21,7 @@ int main() {
 
   io::Table table({"block size", "avg ratio", "avg comp GB/s",
                    "avg decomp GB/s", "offset overhead"});
+  core::CompressorStream compressor;
   for (const u32 bs : {8u, 16u, 32u, 64u, 128u, 256u}) {
     f64 ratio = 0.0;
     f64 comp = 0.0;
@@ -32,7 +33,7 @@ int main() {
       cfg.blockSize = bs;
       cfg.absErrorBound =
           core::Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-      const core::Compressor compressor(cfg);
+      compressor.reconfigure(cfg);
       const auto c = compressor.compress<f32>(data);
       const auto d = compressor.decompress<f32>(c.stream);
       ratio += c.ratio;

@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
@@ -23,12 +23,13 @@ struct Result {
   f64 ratio;
 };
 
-Result runMode(std::span<const f64> data, f64 rel, EncodingMode mode) {
+Result runMode(core::CompressorStream& comp, std::span<const f64> data,
+               f64 rel, EncodingMode mode) {
   core::Config cfg;
   cfg.mode = mode;
   cfg.absErrorBound =
       core::Quantizer::absFromRel(rel, metrics::valueRange<f64>(data));
-  const core::Compressor comp(cfg);
+  comp.reconfigure(cfg);
   const auto c = comp.compress<f64>(data);
   const auto d = comp.decompress<f64>(c.stream);
   return {c.profile.endToEndGBps, d.profile.endToEndGBps, c.ratio};
@@ -51,6 +52,7 @@ int main() {
 
   io::Table table({"dataset", "REL", "P comp", "P decomp", "O comp",
                    "O decomp"});
+  core::CompressorStream stream;
   for (const auto& info : datagen::doublePrecisionDatasets()) {
     for (const f64 rel : bench::relBounds()) {
       f64 pc = 0.0;
@@ -60,8 +62,8 @@ int main() {
       const u32 fields = std::min(info.numFields, maxFields);
       for (u32 f = 0; f < fields; ++f) {
         const auto data = datagen::generateF64(info.name, f, elems);
-        const auto p = runMode(data, rel, EncodingMode::Plain);
-        const auto o = runMode(data, rel, EncodingMode::Outlier);
+        const auto p = runMode(stream, data, rel, EncodingMode::Plain);
+        const auto o = runMode(stream, data, rel, EncodingMode::Outlier);
         pc += p.comp;
         pd += p.decomp;
         oc += o.comp;

@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
@@ -28,12 +28,13 @@ int main() {
 
   io::Table table({"dataset", "random-access throughput",
                    "full-decode throughput", "speedup"});
+  core::CompressorStream comp;
   for (const auto& info : datagen::singlePrecisionDatasets()) {
     const auto data = datagen::generateF32(info.name, 0, elems);
     core::Config cfg;
     cfg.absErrorBound =
         core::Quantizer::absFromRel(1e-4, metrics::valueRange<f32>(data));
-    const core::Compressor comp(cfg);
+    comp.reconfigure(cfg);
     const auto c = comp.compress<f32>(data);
     const auto header = core::StreamHeader::parse(c.stream);
 

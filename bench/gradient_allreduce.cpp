@@ -12,7 +12,7 @@
 #include "baselines/hybrid.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 #include "distributed/allreduce.hpp"
 #include "io/table.hpp"
 

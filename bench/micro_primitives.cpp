@@ -20,7 +20,6 @@
 #include "core/block_codec.hpp"
 #include "core/fle.hpp"
 #include "core/segmented.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "datagen/fields.hpp"
@@ -123,7 +122,7 @@ void BM_EndToEndCompress(benchmark::State& state) {
   const auto data = benchData(1 << 18);
   core::Config cfg;
   cfg.absErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   for (auto _ : state) {
     auto c = comp.compress<f32>(data);
     benchmark::DoNotOptimize(c.stream.data());
@@ -236,15 +235,8 @@ void runHotPath() {
                   io::Table::gbps(bytesPerRep / stats.medianSeconds / 1e9)});
   };
 
-  // End-to-end: the one-shot wrapper (thread-local stream) and an
-  // explicitly held stream; both hit the zero-allocation steady state
-  // after the warm-up rep.
-  const core::Compressor oneshot(cfg);
-  add("oneshot_roundtrip", 2.0 * fieldBytes, [&] {
-    const auto c = oneshot.compress<f32>(data);
-    const auto d = oneshot.decompress<f32>(c.stream);
-    benchmark::DoNotOptimize(d.data.data());
-  });
+  // End-to-end on one held stream; it hits the zero-allocation steady
+  // state after the warm-up rep.
   core::CompressorStream stream(cfg);
   add("stream_roundtrip", 2.0 * fieldBytes, [&] {
     const auto c = stream.compress<f32>(std::span<const f32>(data));

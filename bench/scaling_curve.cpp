@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
@@ -19,6 +19,7 @@ int main() {
 
   io::Table table({"elements", "MB", "comp GB/s", "decomp GB/s",
                    "random access GB/s"});
+  core::CompressorStream comp;
   for (const usize elems :
        {usize{1} << 16, usize{1} << 18, usize{1} << 20, usize{1} << 22,
         usize{1} << 24}) {
@@ -26,7 +27,7 @@ int main() {
     core::Config cfg;
     cfg.absErrorBound =
         core::Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-    const core::Compressor comp(cfg);
+    comp.reconfigure(cfg);
     const auto c = comp.compress<f32>(data);
     const auto d = comp.decompress<f32>(c.stream);
     const auto header = core::StreamHeader::parse(c.stream);

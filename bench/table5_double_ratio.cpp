@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
@@ -19,12 +19,14 @@ using namespace cuszp2;
 
 namespace {
 
-f64 ratioFor(std::span<const f64> data, f64 rel, EncodingMode mode) {
+f64 ratioFor(core::CompressorStream& stream, std::span<const f64> data,
+             f64 rel, EncodingMode mode) {
   core::Config cfg;
   cfg.mode = mode;
   cfg.absErrorBound =
       core::Quantizer::absFromRel(rel, metrics::valueRange<f64>(data));
-  return core::Compressor(cfg).compress<f64>(data).ratio;
+  stream.reconfigure(cfg);
+  return stream.compress<f64>(data).ratio;
 }
 
 }  // namespace
@@ -36,14 +38,15 @@ int main() {
   const u32 maxFields = bench::maxFieldsPerDataset();
 
   io::Table table({"dataset", "REL", "CUSZP2-P", "CUSZP2-O", "O/P"});
+  core::CompressorStream stream;
   for (const auto& info : datagen::doublePrecisionDatasets()) {
     for (const f64 rel : bench::relBounds()) {
       metrics::RatioCell p;
       metrics::RatioCell o;
       for (u32 f = 0; f < std::min(info.numFields, maxFields); ++f) {
         const auto data = datagen::generateF64(info.name, f, elems);
-        p.add(ratioFor(data, rel, EncodingMode::Plain));
-        o.add(ratioFor(data, rel, EncodingMode::Outlier));
+        p.add(ratioFor(stream, data, rel, EncodingMode::Plain));
+        o.add(ratioFor(stream, data, rel, EncodingMode::Outlier));
       }
       table.addRow({info.name, bench::formatRel(rel), p.format(), o.format(),
                     io::Table::num(o.avg() / p.avg(), 2) + "x"});

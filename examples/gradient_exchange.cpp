@@ -9,8 +9,8 @@
 
 #include "baselines/hybrid.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -48,6 +48,7 @@ int main() {
 
   f64 pureTotalSeconds = 0.0;
   f64 hybridTotalSeconds = 0.0;
+  core::CompressorStream compressor;
   for (u32 layer = 0; layer < 3; ++layer) {
     const auto grads = makeGradients(gradElems, 100 + layer);
     const u64 rawBytes = grads.size() * sizeof(f32);
@@ -57,7 +58,7 @@ int main() {
     cfg.mode = EncodingMode::Outlier;
     cfg.absErrorBound =
         core::Quantizer::absFromRel(rel, metrics::valueRange<f32>(grads));
-    const core::Compressor compressor(cfg);
+    compressor.reconfigure(cfg);
     const auto c = compressor.compress<f32>(grads);
     pureTotalSeconds += c.profile.endToEndSeconds;
     table.addRow({"layer " + std::to_string(layer), "cuSZp2-O",

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -52,6 +52,7 @@ int main() {
 
   core::Config cfg;
   cfg.mode = EncodingMode::Outlier;
+  core::CompressorStream compressor;
 
   io::Table table({"frame", "ratio", "comp GB/s", "keeps up?",
                    "max err vs bound"});
@@ -61,7 +62,7 @@ int main() {
     const auto data = makeFrame(frameElems, 7000 + frame);
     cfg.absErrorBound =
         core::Quantizer::absFromRel(rel, metrics::valueRange<f32>(data));
-    const core::Compressor compressor(cfg);
+    compressor.reconfigure(cfg);
     const auto c = compressor.compress<f32>(data);
     const auto d = compressor.decompress<f32>(c.stream);
     const auto stats = metrics::computeErrorStats<f32>(data, d.data);
@@ -82,7 +83,7 @@ int main() {
     const auto data = makeFrame(frameElems, 7000);
     cfg.absErrorBound =
         core::Quantizer::absFromRel(rel, metrics::valueRange<f32>(data));
-    const core::Compressor compressor(cfg);
+    compressor.reconfigure(cfg);
     const auto c = compressor.compress<f32>(data);
     const auto header = core::StreamHeader::parse(c.stream);
     const u64 roiBlock = header.numBlocks() / 3;

@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <string>
 
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/raw.hpp"
 #include "metrics/error_stats.hpp"
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   cfg.absErrorBound =
       core::Quantizer::absFromRel(rel, metrics::valueRange<f32>(data));
 
-  const core::Compressor compressor(cfg);
+  core::CompressorStream compressor(cfg);
   const auto compressed = compressor.compress<f32>(data);
   const auto decompressed = compressor.decompress<f32>(compressed.stream);
 

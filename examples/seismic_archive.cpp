@@ -7,9 +7,9 @@
 #include <cstdio>
 #include <cmath>
 
-#include "core/compressor.hpp"
 #include "core/lorenzo_nd.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/table.hpp"
 #include "metrics/error_stats.hpp"
@@ -26,6 +26,7 @@ int main() {
   std::printf("--- Rate-quality sweep (cuSZp2-O, 1-D) ---\n");
   io::Table quality({"field", "REL", "ratio", "PSNR (dB)", "SSIM",
                      "iso fidelity"});
+  core::CompressorStream comp;
   for (u32 f = 0; f < 3; ++f) {
     const auto data = datagen::generateF32("rtm", f, elems);
     for (const f64 rel : {1e-2, 1e-3, 1e-4}) {
@@ -33,7 +34,7 @@ int main() {
       cfg.mode = EncodingMode::Outlier;
       cfg.absErrorBound =
           core::Quantizer::absFromRel(rel, metrics::valueRange<f32>(data));
-      const core::Compressor comp(cfg);
+      comp.reconfigure(cfg);
       const auto c = comp.compress<f32>(data);
       const auto d = comp.decompress<f32>(c.stream);
       const auto stats = metrics::computeErrorStats<f32>(data, d.data);

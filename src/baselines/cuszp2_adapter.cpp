@@ -7,7 +7,8 @@ namespace cuszp2::baselines {
 
 Cuszp2Baseline::Cuszp2Baseline(std::string name, core::Config config,
                                gpusim::DeviceSpec device)
-    : name_(std::move(name)), config_(config), device_(std::move(device)) {}
+    : name_(std::move(name)), config_(config),
+      stream_(config, std::move(device)) {}
 
 RunResult Cuszp2Baseline::run(std::span<const f32> data, f64 relErrorBound) {
   core::Config cfg = config_;
@@ -16,10 +17,10 @@ RunResult Cuszp2Baseline::run(std::span<const f32> data, f64 relErrorBound) {
   // artifact (the range is a dataset property computed once).
   cfg.absErrorBound = core::Quantizer::absFromRel(
       relErrorBound, metrics::valueRange(data));
-  core::Compressor compressor(cfg, device_);
+  stream_.reconfigure(cfg);
 
-  const auto compressed = compressor.compress(data);
-  const auto decompressed = compressor.decompress<f32>(compressed.stream);
+  const auto compressed = stream_.compress(data);
+  auto decompressed = stream_.decompress<f32>(compressed.stream);
 
   RunResult r;
   r.compressor = name_;

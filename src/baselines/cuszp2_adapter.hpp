@@ -9,7 +9,7 @@
 #pragma once
 
 #include "baselines/baseline.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 
 namespace cuszp2::baselines {
 
@@ -35,7 +35,8 @@ class Cuszp2Baseline final : public IBaseline {
  private:
   std::string name_;
   core::Config config_;
-  gpusim::DeviceSpec device_;
+  /// Held across run() calls so repeated runs reuse warm scratch.
+  core::CompressorStream stream_;
 };
 
 }  // namespace cuszp2::baselines

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 
 namespace cuszp2::core {
 

@@ -411,12 +411,6 @@ void CompressorStream::reconfigure(const Config& config) {
   config_ = config;
 }
 
-void CompressorStream::reconfigure(const Config& config,
-                                   const gpusim::DeviceSpec& device) {
-  reconfigure(config);
-  timing_.setSpec(device);
-}
-
 void CompressorStream::applyInjectedArenaBudget() {
   arena_.clearFailureBudget();
   if (const std::optional<u64> budget = launcher_.takeArenaFault()) {

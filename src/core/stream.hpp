@@ -1,19 +1,34 @@
-// Reusable compression stream: the zero-allocation hot path.
+// cuSZp2 public API: single-kernel error-bounded lossy compression and
+// decompression under the GPU execution model (paper Secs. III and IV).
+// CompressorStream is the library's only codec object.
 //
-// A CompressorStream owns every piece of per-call state the pipeline needs
-// — a scratch arena backing quantization scratch, per-block plans, scan
-// flag arrays, tile prefix sums and the payload staging area, plus a
-// launcher on the process-shared worker pool — so repeated compress() /
-// decompress() calls reuse warm buffers instead of paying malloc/free and
-// pool startup per invocation. After one warm-up call at the peak input
-// size the arena performs no further heap allocations
-// (arenaStats().slabAllocations stays constant; asserted in
-// tests/test_stream_reuse.cpp).
+// compress():   Lossy Conversion -> Lossless Encoding -> Global Prefix-sum
+//               (decoupled lookback) -> Block Concatenation, all inside one
+//               simulated kernel launch.
+// decompress(): offset scan -> payload decode -> reconstruction, also one
+//               kernel; all-zero blocks are flushed via device memset.
+// decompressBlocks(): random access to a block range (paper Sec. VI-B):
+//               a host walk over the offset (descriptor) array positions
+//               the blocks, then one kernel decodes only the requested
+//               ones. It shares that walk with replaceBlocks() and
+//               decompressResilient() for every format version.
 //
-// The one-shot core::Compressor API is a thin wrapper over a thread-local
-// stream (see compressor.hpp); long-lived layers (segmented streaming, the
-// archive writer, the allreduce codec, the CLI) hold a stream explicitly.
-// Output bytes are identical to the one-shot API in all configurations.
+// Every call returns a KernelProfile with the recorded memory counters,
+// sync statistics, and the modelled device timing used by the bench
+// harness; wall-clock time of the host simulation is reported separately
+// and is never used for the figures.
+//
+// A stream owns every piece of per-call state the pipeline needs — a
+// scratch arena backing quantization scratch, per-block plans, scan flag
+// arrays, tile prefix sums and the payload staging area, plus a launcher on
+// the process-shared worker pool — so repeated calls reuse warm buffers
+// instead of paying malloc/free and pool startup per invocation. After one
+// warm-up call at the peak input size the arena performs no further heap
+// allocations (arenaStats().slabAllocations stays constant; asserted in
+// tests/test_stream_reuse.cpp). Callers construct one stream and reuse it
+// (the service, the archive writer, the allreduce codec, segmented
+// streaming and the CLI each hold theirs); a freshly constructed stream and
+// a warm, reused one write identical bytes in every configuration.
 #pragma once
 
 #include <string>
@@ -153,9 +168,8 @@ class CompressorStream {
                             gpusim::DeviceSpec device = gpusim::a100_40gb());
 
   /// Re-targets the stream without touching its warm scratch. Cheap enough
-  /// to call before every operation (the one-shot wrapper does).
+  /// to call before every operation.
   void reconfigure(const Config& config);
-  void reconfigure(const Config& config, const gpusim::DeviceSpec& device);
 
   const Config& config() const { return config_; }
   const gpusim::DeviceSpec& device() const { return timing_.spec(); }
@@ -164,15 +178,13 @@ class CompressorStream {
   /// the stream is warm (the zero-allocation steady state).
   const Arena::Stats& arenaStats() const { return arena_.stats(); }
 
-  /// Drops the warm scratch (it is re-grown on the next call). For hosts
-  /// that keep many idle streams around.
-  void releaseScratch() { arena_.release(); }
-
-  /// Semantics identical to Compressor::compress (byte-identical output).
+  /// Compresses `data`, producing a self-describing stream. When
+  /// Config::absErrorBound is unset, the value range is reduced on-device
+  /// first (and its modelled cost charged) to honour the REL bound.
   template <FloatingPoint T>
   Compressed compress(std::span<const T> data);
 
-  /// Semantics identical to Compressor::decompress.
+  /// Decompresses a full stream produced by compress().
   template <FloatingPoint T>
   Decompressed<T> decompress(ConstByteSpan stream);
 
@@ -186,12 +198,17 @@ class CompressorStream {
   template <FloatingPoint T>
   Salvaged<T> decompressResilient(ConstByteSpan stream, T fillValue = T{});
 
-  /// Semantics identical to Compressor::decompressBlocks.
+  /// Random access: decodes blocks [firstBlock, firstBlock + blockCount).
   template <FloatingPoint T>
   BlockRange<T> decompressBlocks(ConstByteSpan stream, u64 firstBlock,
                                  u64 blockCount);
 
-  /// Semantics identical to Compressor::replaceBlocks.
+  /// Random-access write (paper Sec. VI-B mentions writes behave like
+  /// reads): re-encodes the blocks covering `values` — which replace the
+  /// elements starting at firstBlock * blockSize — under the stream's own
+  /// error bound and mode, and splices them into a new stream. `values`
+  /// must cover whole blocks (its size is a multiple of the block size, or
+  /// ends exactly at the stream's final element).
   template <FloatingPoint T>
   Compressed replaceBlocks(ConstByteSpan stream, u64 firstBlock,
                            std::span<const T> values);

@@ -52,7 +52,7 @@ inline void secondOrderDiff(std::span<i32> res) {
     const i64 r2 = static_cast<i64>(d) - static_cast<i64>(prevD);
     require(r2 >= std::numeric_limits<i32>::min() &&
                 r2 <= std::numeric_limits<i32>::max(),
-            "Compressor: error bound too small for the second-order "
+            "CompressorStream: error bound too small for the second-order "
             "predictor's residual range");
     res[i] = static_cast<i32>(r2);
     prevD = d;

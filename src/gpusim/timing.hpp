@@ -50,10 +50,6 @@ class TimingModel {
 
   const DeviceSpec& spec() const { return spec_; }
 
-  /// Retargets the model. Copy-assigns in place so a long-lived stream can
-  /// be reconfigured without reallocating the spec's name string.
-  void setSpec(const DeviceSpec& spec) { spec_ = spec; }
-
   /// Models one kernel.
   KernelTiming kernel(const MemCounters& mem, const SyncStats& sync) const;
 

@@ -6,7 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 #include "distributed/allreduce.hpp"
 
 namespace cuszp2::distributed {
@@ -30,7 +30,7 @@ ExchangeCodec cuszp2Codec(f64 absEb) {
                             f64& codecSeconds) {
     core::Config cfg;
     cfg.absErrorBound = absEb;
-    const core::Compressor comp(cfg);
+    core::CompressorStream comp(cfg);
     const auto c = comp.compress<f32>(values);
     auto d = comp.decompress<f32>(c.stream);
     wireBytes = c.stream.size();
@@ -120,7 +120,7 @@ TEST(Allreduce, Validation) {
 
 TEST(Allreduce, StreamCodecMatchesPerChunkCodec) {
   // The stream-holding codec reuses one warm stream across hops; the
-  // reduced vector and wire bytes must match the one-shot codec exactly.
+  // reduced vector and wire bytes must match a fresh stream per chunk.
   const f64 eb = 1e-4;
   const auto grads = makeGradients(4, 4096, 11);
   const RingAllreduce ring(4, LinkSpec{});

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/archive.hpp"
 #include "metrics/error_stats.hpp"
@@ -117,7 +117,7 @@ TEST(Archive, MissingFieldThrows) {
 TEST(Archive, CompressedDatasetRoundTrip) {
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor compressor(cfg);
+  core::CompressorStream compressor(cfg);
 
   ArchiveWriter w;
   std::vector<std::vector<f32>> originals;
@@ -253,7 +253,7 @@ TEST(ArchiveParity, RepairedStreamDecodesBitExactly) {
   cfg.absErrorBound = 1e-2;
   cfg.checksum = true;
   cfg.blockChecksums = true;
-  const core::Compressor compressor(cfg);
+  core::CompressorStream compressor(cfg);
   const auto data = datagen::generateF32("hacc", 0, 1 << 12);
   const auto stream = compressor.compress<f32>(data).stream;
   const auto clean = compressor.decompress<f32>(stream).data;

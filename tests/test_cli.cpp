@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 #include "io/archive.hpp"
 #include "io/raw.hpp"
 
@@ -246,7 +246,7 @@ TEST_F(CliTest, RepairFixesDamagedParityArchive) {
   core::Config cfg;
   cfg.absErrorBound = 0.01;
   cfg.blockChecksums = true;
-  const core::Compressor compressor(cfg);
+  core::CompressorStream compressor(cfg);
   const auto stream = compressor.compress<f32>(data_).stream;
   io::ArchiveWriter w;
   w.addField("in", stream);

@@ -9,8 +9,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -37,7 +37,7 @@ void expectBounded(std::span<const T> original, std::span<const T> rec,
 TEST(Compressor, RoundTripSmallKnownData) {
   Config cfg = baseConfig();
   cfg.absErrorBound = 0.1;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const std::vector<f32> data = {1.12f, 1.02f, 0.98f, 1.04f,
                                  1.11f, 1.09f, 0.91f, 1.01f};
   const auto c = comp.compress<f32>(data);
@@ -47,7 +47,7 @@ TEST(Compressor, RoundTripSmallKnownData) {
 }
 
 TEST(Compressor, EmptyInput) {
-  const Compressor comp(baseConfig());
+  CompressorStream comp(baseConfig());
   const std::vector<f32> data;
   const auto c = comp.compress<f32>(data);
   const auto d = comp.decompress<f32>(c.stream);
@@ -60,7 +60,7 @@ TEST_P(CompressorSizeTest, AwkwardSizesRoundTrip) {
   const usize n = GetParam();
   Config cfg = baseConfig();
   cfg.absErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   Rng rng(n * 31 + 7);
   std::vector<f32> data(n);
   f64 v = 0.0;
@@ -93,7 +93,7 @@ TEST_P(CompressorDatasetTest, ErrorBoundHolds) {
 
   Config cfg = baseConfig(mode);
   cfg.absErrorBound = absEb;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const auto c = comp.compress<f32>(data);
   const auto d = comp.decompress<f32>(c.stream);
   expectBounded<f32>(data, d.data, absEb);
@@ -117,7 +117,7 @@ TEST(Compressor, DoublePrecisionRoundTrip) {
         Quantizer::absFromRel(1e-3, metrics::valueRange<f64>(data));
     Config cfg = baseConfig();
     cfg.absErrorBound = absEb;
-    const Compressor comp(cfg);
+    CompressorStream comp(cfg);
     const auto c = comp.compress<f64>(data);
     const auto d = comp.decompress<f64>(c.stream);
     expectBounded<f64>(data, d.data, absEb);
@@ -125,7 +125,7 @@ TEST(Compressor, DoublePrecisionRoundTrip) {
 }
 
 TEST(Compressor, PrecisionMismatchThrows) {
-  const Compressor comp(baseConfig());
+  CompressorStream comp(baseConfig());
   const std::vector<f32> data(64, 1.0f);
   const auto c = comp.compress<f32>(data);
   EXPECT_THROW(comp.decompress<f64>(c.stream), Error);
@@ -141,10 +141,10 @@ TEST(Compressor, ModesReconstructIdentically) {
   p.absErrorBound = 0.01;
   Config o = baseConfig(EncodingMode::Outlier);
   o.absErrorBound = 0.01;
-  const auto dp = Compressor(p).decompress<f32>(
-      Compressor(p).compress<f32>(data).stream);
-  const auto dout = Compressor(o).decompress<f32>(
-      Compressor(o).compress<f32>(data).stream);
+  CompressorStream sp(p);
+  CompressorStream so(o);
+  const auto dp = sp.decompress<f32>(sp.compress<f32>(data).stream);
+  const auto dout = so.decompress<f32>(so.compress<f32>(data).stream);
   EXPECT_EQ(dp.data, dout.data);
 }
 
@@ -153,8 +153,8 @@ TEST(Compressor, OutlierRatioAtLeastPlain) {
     const auto data = datagen::generateF32(dataset, 0, 1 << 15);
     Config p = baseConfig(EncodingMode::Plain);
     Config o = baseConfig(EncodingMode::Outlier);
-    const f64 rp = Compressor(p).compress<f32>(data).ratio;
-    const f64 ro = Compressor(o).compress<f32>(data).ratio;
+    const f64 rp = CompressorStream(p).compress<f32>(data).ratio;
+    const f64 ro = CompressorStream(o).compress<f32>(data).ratio;
     EXPECT_GE(ro, rp * (1.0 - 1e-9)) << dataset;
   }
 }
@@ -165,8 +165,8 @@ TEST(Compressor, SyncAlgorithmDoesNotChangeBytes) {
   a.syncAlgorithm = scan::Algorithm::DecoupledLookback;
   Config b = baseConfig();
   b.syncAlgorithm = scan::Algorithm::ChainedScan;
-  EXPECT_EQ(Compressor(a).compress<f32>(data).stream,
-            Compressor(b).compress<f32>(data).stream);
+  EXPECT_EQ(CompressorStream(a).compress<f32>(data).stream,
+            CompressorStream(b).compress<f32>(data).stream);
 }
 
 TEST(Compressor, VectorizationDoesNotChangeBytes) {
@@ -175,8 +175,8 @@ TEST(Compressor, VectorizationDoesNotChangeBytes) {
   a.vectorizedAccess = true;
   Config b = baseConfig();
   b.vectorizedAccess = false;
-  const auto ca = Compressor(a).compress<f32>(data);
-  const auto cb = Compressor(b).compress<f32>(data);
+  const auto ca = CompressorStream(a).compress<f32>(data);
+  const auto cb = CompressorStream(b).compress<f32>(data);
   EXPECT_EQ(ca.stream, cb.stream);
   // ...but it must change the instruction counts (that is the ablation).
   EXPECT_GT(cb.profile.mem.scalarLoadInstr, ca.profile.mem.scalarLoadInstr);
@@ -185,7 +185,7 @@ TEST(Compressor, VectorizationDoesNotChangeBytes) {
 
 TEST(Compressor, DeterministicStream) {
   const auto data = datagen::generateF32("qmcpack", 0, 1 << 14);
-  const Compressor comp(baseConfig());
+  CompressorStream comp(baseConfig());
   const auto c1 = comp.compress<f32>(data);
   const auto c2 = comp.compress<f32>(data);
   EXPECT_EQ(c1.stream, c2.stream);
@@ -199,7 +199,7 @@ TEST_P(BlockSizeTest, RoundTripAcrossBlockSizes) {
   Config cfg = baseConfig();
   cfg.blockSize = bs;
   cfg.absErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const auto d = comp.decompress<f32>(comp.compress<f32>(data).stream);
   expectBounded<f32>(data, d.data, 1e-3);
 }
@@ -213,10 +213,10 @@ TEST_P(TileSizeTest, BlocksPerTileDoesNotChangeBytes) {
   const auto data = datagen::generateF32("cesm_atm", 3, 1 << 14);
   Config ref = baseConfig();
   ref.blocksPerTile = 128;
-  const auto expected = Compressor(ref).compress<f32>(data).stream;
+  const auto expected = CompressorStream(ref).compress<f32>(data).stream;
   Config cfg = baseConfig();
   cfg.blocksPerTile = GetParam();
-  EXPECT_EQ(Compressor(cfg).compress<f32>(data).stream, expected);
+  EXPECT_EQ(CompressorStream(cfg).compress<f32>(data).stream, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(TileSizes, TileSizeTest,
@@ -227,7 +227,7 @@ INSTANTIATE_TEST_SUITE_P(TileSizes, TileSizeTest,
 TEST(Compressor, AllZeroDataCompressesToOffsetBytes) {
   Config cfg = baseConfig();
   cfg.absErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const std::vector<f32> data(32 * 1024, 0.0f);
   const auto c = comp.compress<f32>(data);
   // 1 offset byte per 32-element block + header, nothing else.
@@ -241,7 +241,7 @@ TEST(Compressor, AllZeroDataCompressesToOffsetBytes) {
 TEST(Compressor, ConstantDataIsCheapInOutlierMode) {
   Config cfg = baseConfig(EncodingMode::Outlier);
   cfg.absErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const std::vector<f32> data(32 * 256, 42.0f);
   const auto c = comp.compress<f32>(data);
   EXPECT_GT(c.ratio, 10.0);
@@ -255,7 +255,7 @@ TEST(Compressor, RelBoundComputesRangePass) {
   Config cfg;
   cfg.relErrorBound = 1e-3;
   cfg.absErrorBound = 0.0;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const auto data = datagen::generateF32("scale", 0, 1 << 14);
   const auto c = comp.compress<f32>(data);
   const f64 expectedAbs =
@@ -270,7 +270,7 @@ TEST(Compressor, RelBoundComputesRangePass) {
 
 TEST(Compressor, ProfileIsPopulated) {
   const auto data = datagen::generateF32("rtm", 2, 1 << 16);
-  const Compressor comp(baseConfig());
+  CompressorStream comp(baseConfig());
   const auto c = comp.compress<f32>(data);
   EXPECT_GT(c.profile.endToEndSeconds, 0.0);
   EXPECT_GT(c.profile.endToEndGBps, 0.0);
@@ -286,7 +286,7 @@ TEST(Compressor, ProfileIsPopulated) {
 }
 
 TEST(Compressor, CorruptStreamRejected) {
-  const Compressor comp(baseConfig());
+  CompressorStream comp(baseConfig());
   const std::vector<f32> data(1000, 1.5f);
   auto c = comp.compress<f32>(data);
   // Truncate the payload.
@@ -295,23 +295,25 @@ TEST(Compressor, CorruptStreamRejected) {
 }
 
 TEST(Compressor, ConcurrentCompressionsOnOneCompressor) {
-  // The Compressor is logically const; concurrent compress() calls share
-  // its launcher and must not interfere (per-launch completion latches).
+  // Two streams compressing concurrently share the process-wide worker
+  // pool (as the service's workers do) and must not interfere: each
+  // stream's output stays byte-identical to its serial reference.
   const auto dataA = datagen::generateF32("nyx", 0, 1 << 14);
   const auto dataB = datagen::generateF32("rtm", 1, 1 << 14);
   Config cfg = baseConfig();
   cfg.absErrorBound = 1e-3;
-  const Compressor comp(cfg);
-  const auto refA = comp.compress<f32>(dataA).stream;
-  const auto refB = comp.compress<f32>(dataB).stream;
+  CompressorStream streamA(cfg);
+  CompressorStream streamB(cfg);
+  const auto refA = streamA.compress<f32>(dataA).stream;
+  const auto refB = streamB.compress<f32>(dataB).stream;
 
   std::vector<std::byte> gotA;
   std::vector<std::byte> gotB;
   std::thread ta([&] {
-    for (int i = 0; i < 3; ++i) gotA = comp.compress<f32>(dataA).stream;
+    for (int i = 0; i < 3; ++i) gotA = streamA.compress<f32>(dataA).stream;
   });
   std::thread tb([&] {
-    for (int i = 0; i < 3; ++i) gotB = comp.compress<f32>(dataB).stream;
+    for (int i = 0; i < 3; ++i) gotB = streamB.compress<f32>(dataB).stream;
   });
   ta.join();
   tb.join();
@@ -323,10 +325,10 @@ TEST(Compressor, InvalidConfigRejected) {
   Config cfg;
   cfg.relErrorBound = 0.0;
   cfg.absErrorBound = 0.0;
-  EXPECT_THROW(Compressor{cfg}, Error);
+  EXPECT_THROW(CompressorStream{cfg}, Error);
   Config cfg2 = baseConfig();
   cfg2.blockSize = 12;
-  EXPECT_THROW(Compressor{cfg2}, Error);
+  EXPECT_THROW(CompressorStream{cfg2}, Error);
 }
 
 }  // namespace

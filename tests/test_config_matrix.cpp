@@ -10,8 +10,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -66,14 +66,14 @@ TEST(ConfigMatrix, RandomConfigsAlwaysRoundTrip) {
                  std::to_string(cfg.blockSize) + " mode " +
                  toString(cfg.mode) + " pred " + toString(cfg.predictor));
 
-    const Compressor comp(cfg);
+    CompressorStream comp(cfg);
     const auto c = comp.compress<f32>(data);
     ASSERT_GT(c.stream.size(), StreamHeader::kBytes);
 
     // Decode through a *default* compressor: streams are self-describing.
     Config defaultCfg;
     defaultCfg.absErrorBound = 1.0;
-    const auto d = Compressor(defaultCfg).decompress<f32>(c.stream);
+    const auto d = CompressorStream(defaultCfg).decompress<f32>(c.stream);
     ASSERT_EQ(d.data.size(), data.size());
 
     const auto stats = metrics::computeErrorStats<f32>(data, d.data);
@@ -112,7 +112,7 @@ TEST(ConfigMatrix, RandomConfigsRoundTripF64) {
     const Config cfg = randomConfig(rng, absEb);
     SCOPED_TRACE("trial " + std::to_string(trial));
 
-    const Compressor comp(cfg);
+    CompressorStream comp(cfg);
     const auto c = comp.compress<f64>(data);
     const auto d = comp.decompress<f64>(c.stream);
     const auto stats = metrics::computeErrorStats<f64>(data, d.data);

@@ -12,10 +12,10 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/lorenzo_nd.hpp"
 #include "core/quantizer.hpp"
 #include "core/segmented.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "gpusim/launcher.hpp"
 #include "scan/lookback.hpp"
@@ -80,7 +80,7 @@ TEST(FaultInjection, LauncherIsReusableAfterAbort) {
 TEST(FaultInjection, QuantizerOverflowAbortsCompressionCleanly) {
   core::Config cfg;
   cfg.absErrorBound = 1e-15;  // far too tight for the data range
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   std::vector<f32> data(4096, 1.0e6f);
   EXPECT_THROW(comp.compress<f32>(data), Error);
 }
@@ -95,7 +95,7 @@ struct CorpusFixture {
     data = datagen::generateF32("scale", 2, 1 << 12);
     core::Config cfg;
     cfg.relErrorBound = 1e-3;
-    stream = core::Compressor(cfg).compress<f32>(data).stream;
+    stream = core::CompressorStream(cfg).compress<f32>(data).stream;
   }
 };
 
@@ -106,7 +106,7 @@ TEST(FaultInjection, FuzzOffsetBytes) {
   const CorpusFixture fx;
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto header = core::StreamHeader::parse(fx.stream);
   Rng rng(42);
   for (int trial = 0; trial < 200; ++trial) {
@@ -129,7 +129,7 @@ TEST(FaultInjection, FuzzPayloadBytes) {
   const CorpusFixture fx;
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto header = core::StreamHeader::parse(fx.stream);
   Rng rng(43);
   const usize payloadBegin = header.payloadBegin();
@@ -151,7 +151,7 @@ TEST(FaultInjection, FuzzTruncation) {
   const CorpusFixture fx;
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   Rng rng(44);
   for (int trial = 0; trial < 100; ++trial) {
     auto truncated = fx.stream;
@@ -169,7 +169,7 @@ TEST(FaultInjection, FuzzHeaderBytes) {
   const CorpusFixture fx;
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   Rng rng(45);
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupted = fx.stream;
@@ -186,7 +186,7 @@ TEST(FaultInjection, FuzzHeaderBytes) {
 TEST(FaultInjection, FuzzGarbageStreams) {
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   Rng rng(46);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<std::byte> junk(rng.uniformInt(512));
@@ -204,7 +204,7 @@ TEST(FaultInjection, ChecksumCatchesAllPayloadCorruption) {
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
   cfg.checksum = true;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto c = comp.compress<f32>(data);
   Rng rng(47);
   for (int trial = 0; trial < 100; ++trial) {

@@ -10,9 +10,9 @@
 #include "baselines/cuszp2_adapter.hpp"
 #include "baselines/fzgpu.hpp"
 #include "baselines/zfp.hpp"
-#include "core/compressor.hpp"
 #include "core/lorenzo_nd.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/raw.hpp"
 #include "metrics/error_stats.hpp"
@@ -25,7 +25,7 @@ TEST(Integration, CompressWriteReadDecompress) {
   const auto data = datagen::generateF32("nyx", 2, 1 << 15);
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto c = comp.compress<f32>(data);
 
   const auto path = (std::filesystem::temp_directory_path() /
@@ -46,7 +46,7 @@ TEST(Integration, RandomAccessAgreesWithFullDecodeEverywhere) {
   const auto data = datagen::generateF32("scale", 5, 1 << 14);
   core::Config cfg;
   cfg.relErrorBound = 1e-4;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto c = comp.compress<f32>(data);
   const auto full = comp.decompress<f32>(c.stream);
   const auto header = core::StreamHeader::parse(c.stream);
@@ -120,7 +120,7 @@ TEST(Integration, DoublePrecisionFasterThanSingle) {
   // 2x the modelled GB/s.
   core::Config cfg;
   cfg.relErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto dataF = datagen::generateF32("miranda", 0, 1 << 16);
   std::vector<f64> dataD(dataF.begin(), dataF.end());
   const auto cF = comp.compress<f32>(dataF);
@@ -136,8 +136,8 @@ TEST(Integration, NdAndOneDAgreeOnErrorBound) {
 
   core::Config cfg1;
   cfg1.absErrorBound = absEb;
-  const auto d1 = core::Compressor(cfg1).decompress<f32>(
-      core::Compressor(cfg1).compress<f32>(data).stream);
+  const auto d1 = core::CompressorStream(cfg1).decompress<f32>(
+      core::CompressorStream(cfg1).compress<f32>(data).stream);
 
   core::NdConfig cfg3;
   cfg3.absErrorBound = absEb;
@@ -156,7 +156,7 @@ TEST(Integration, SparseDatasetGetsMemsetFastPath) {
   const auto data = datagen::generateF32("jetin", 0, 1 << 17);
   core::Config cfg;
   cfg.relErrorBound = 1e-2;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto c = comp.compress<f32>(data);
   const auto d = comp.decompress<f32>(c.stream);
   EXPECT_GT(d.profile.mem.memsetBytes, data.size());  // many zero blocks
@@ -174,7 +174,7 @@ TEST(Integration, DesignMatrixTableI) {
   const auto data = datagen::generateF32("qmcpack", 1, 1 << 14);
   core::Config cfg;
   cfg.absErrorBound = 1e-3;  // pre-resolved bound: no range pass needed
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto c = comp.compress<f32>(data);
   EXPECT_EQ(c.profile.sync.method, gpusim::SyncMethod::DecoupledLookback);
   // End-to-end equals the single kernel + launch overhead: no hidden

@@ -8,8 +8,8 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -67,7 +67,7 @@ core::Config checksumConfig() {
 
 TEST(Checksum, RoundTripsCleanly) {
   const auto data = datagen::generateF32("nyx", 0, 1 << 13);
-  const core::Compressor comp(checksumConfig());
+  core::CompressorStream comp(checksumConfig());
   const auto c = comp.compress<f32>(data);
   const auto header = core::StreamHeader::parse(c.stream);
   EXPECT_NE(header.checksum, 0u);
@@ -76,7 +76,7 @@ TEST(Checksum, RoundTripsCleanly) {
 
 TEST(Checksum, CorruptionDetected) {
   const auto data = datagen::generateF32("miranda", 0, 1 << 13);
-  const core::Compressor comp(checksumConfig());
+  core::CompressorStream comp(checksumConfig());
   auto c = comp.compress<f32>(data);
   // Flip a payload byte (past header + offsets).
   const auto header = core::StreamHeader::parse(c.stream);
@@ -88,7 +88,7 @@ TEST(Checksum, CorruptionDetected) {
 
 TEST(Checksum, OffsetCorruptionDetected) {
   const auto data = datagen::generateF32("scale", 0, 1 << 13);
-  const core::Compressor comp(checksumConfig());
+  core::CompressorStream comp(checksumConfig());
   auto c = comp.compress<f32>(data);
   c.stream[core::StreamHeader::offsetsBegin() + 3] ^= std::byte{0x01};
   EXPECT_THROW(comp.decompress<f32>(c.stream), Error);
@@ -98,7 +98,7 @@ TEST(Checksum, DisabledStreamsSkipVerification) {
   core::Config cfg;
   cfg.absErrorBound = 1e-3;
   cfg.checksum = false;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto data = datagen::generateF32("nyx", 1, 1 << 12);
   const auto c = comp.compress<f32>(data);
   EXPECT_EQ(core::StreamHeader::parse(c.stream).checksum, 0u);
@@ -106,7 +106,7 @@ TEST(Checksum, DisabledStreamsSkipVerification) {
 
 TEST(Checksum, SurvivesReplaceBlocks) {
   const auto data = datagen::generateF32("cesm_atm", 0, 1 << 12);
-  const core::Compressor comp(checksumConfig());
+  core::CompressorStream comp(checksumConfig());
   const auto c = comp.compress<f32>(data);
   const std::vector<f32> replacement(64, 1.25f);
   const auto updated = comp.replaceBlocks<f32>(c.stream, 5, replacement);
@@ -121,8 +121,8 @@ TEST(Checksum, ChecksumCostsExtraModelledTime) {
   plain.absErrorBound = 1e-3;
   core::Config checked = plain;
   checked.checksum = true;
-  const auto cPlain = core::Compressor(plain).compress<f32>(data);
-  const auto cChecked = core::Compressor(checked).compress<f32>(data);
+  const auto cPlain = core::CompressorStream(plain).compress<f32>(data);
+  const auto cChecked = core::CompressorStream(checked).compress<f32>(data);
   EXPECT_GT(cChecked.profile.endToEndSeconds,
             cPlain.profile.endToEndSeconds);
 }
@@ -148,7 +148,7 @@ TEST(RoundingMode, CeilingCompressorRoundTrip) {
   cfg.absErrorBound =
       core::Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
   cfg.roundingMode = core::RoundingMode::Ceiling;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   const auto d = comp.decompress<f32>(comp.compress<f32>(data).stream);
   for (usize i = 0; i < data.size(); ++i) {
     const f64 err = static_cast<f64>(d.data[i]) -

@@ -6,8 +6,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -29,7 +29,7 @@ TEST_P(PredictorRoundTrip, ErrorBoundHolds) {
   const auto data = datagen::generateF32(dataset, 0, 1 << 14);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-  const Compressor comp(withPredictor(predictor, absEb));
+  CompressorStream comp(withPredictor(predictor, absEb));
   const auto c = comp.compress<f32>(data);
   const auto d = comp.decompress<f32>(c.stream);
   EXPECT_TRUE(metrics::computeErrorStats<f32>(data, d.data)
@@ -45,8 +45,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Predictor, HeaderRecordsPredictor) {
   const std::vector<f32> data(1024, 1.5f);
-  const auto c =
-      Compressor(withPredictor(Predictor::SecondOrder)).compress<f32>(data);
+  CompressorStream stream(withPredictor(Predictor::SecondOrder));
+  const auto c = stream.compress<f32>(data);
   EXPECT_EQ(StreamHeader::parse(c.stream).predictor,
             Predictor::SecondOrder);
 }
@@ -57,11 +57,11 @@ TEST(Predictor, StreamIsSelfDescribing) {
   const auto data = datagen::generateF32("miranda", 0, 1 << 13);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-  const auto c = Compressor(withPredictor(Predictor::SecondOrder, absEb))
-                     .compress<f32>(data);
+  CompressorStream secondOrder(withPredictor(Predictor::SecondOrder, absEb));
+  const auto c = secondOrder.compress<f32>(data);
   Config plainCfg;
   plainCfg.absErrorBound = 1.0;  // irrelevant for decode
-  const auto d = Compressor(plainCfg).decompress<f32>(c.stream);
+  const auto d = CompressorStream(plainCfg).decompress<f32>(c.stream);
   EXPECT_TRUE(metrics::computeErrorStats<f32>(data, d.data)
                   .withinBoundFp(absEb, Precision::F32));
 }
@@ -82,12 +82,10 @@ TEST(Predictor, SecondOrderCannotBeatTheSingleOutlierFormat) {
   }
   const f64 absEb =
       Quantizer::absFromRel(1e-6, metrics::valueRange<f32>(data));
-  const f64 r1 = Compressor(withPredictor(Predictor::FirstOrder, absEb))
-                     .compress<f32>(data)
-                     .ratio;
-  const f64 r2 = Compressor(withPredictor(Predictor::SecondOrder, absEb))
-                     .compress<f32>(data)
-                     .ratio;
+  CompressorStream firstOrder(withPredictor(Predictor::FirstOrder, absEb));
+  CompressorStream secondOrder(withPredictor(Predictor::SecondOrder, absEb));
+  const f64 r1 = firstOrder.compress<f32>(data).ratio;
+  const f64 r2 = secondOrder.compress<f32>(data).ratio;
   EXPECT_GT(r2, r1 * 0.8);
   EXPECT_LT(r2, r1 * 1.2);
 }
@@ -99,12 +97,10 @@ TEST(Predictor, SecondOrderNeverPathologicalOnNoise) {
   const auto data = datagen::generateF32("qmcpack", 0, 1 << 14);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-  const f64 r1 = Compressor(withPredictor(Predictor::FirstOrder, absEb))
-                     .compress<f32>(data)
-                     .ratio;
-  const f64 r2 = Compressor(withPredictor(Predictor::SecondOrder, absEb))
-                     .compress<f32>(data)
-                     .ratio;
+  CompressorStream firstOrder(withPredictor(Predictor::FirstOrder, absEb));
+  CompressorStream secondOrder(withPredictor(Predictor::SecondOrder, absEb));
+  const f64 r1 = firstOrder.compress<f32>(data).ratio;
+  const f64 r2 = secondOrder.compress<f32>(data).ratio;
   EXPECT_GT(r2, r1 * 0.5);
 }
 
@@ -115,9 +111,9 @@ TEST(Predictor, FirstOrderStreamsUnchangedByTheFeature) {
   const auto data = datagen::generateF32("scale", 1, 1 << 13);
   Config cfg;
   cfg.absErrorBound = 1e-3;
-  const auto c = Compressor(cfg).compress<f32>(data);
+  const auto c = CompressorStream(cfg).compress<f32>(data);
   EXPECT_EQ(StreamHeader::parse(c.stream).predictor, Predictor::FirstOrder);
-  const auto d = Compressor(cfg).decompress<f32>(c.stream);
+  const auto d = CompressorStream(cfg).decompress<f32>(c.stream);
   EXPECT_TRUE(metrics::computeErrorStats<f32>(data, d.data)
                   .withinBoundFp(1e-3, Precision::F32));
 }
@@ -126,7 +122,7 @@ TEST(Predictor, RandomAccessRespectsPredictor) {
   const auto data = datagen::generateF32("cesm_atm", 0, 1 << 13);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-  const Compressor comp(withPredictor(Predictor::SecondOrder, absEb));
+  CompressorStream comp(withPredictor(Predictor::SecondOrder, absEb));
   const auto c = comp.compress<f32>(data);
   const auto full = comp.decompress<f32>(c.stream);
   const auto range = comp.decompressBlocks<f32>(c.stream, 5, 7);
@@ -139,7 +135,7 @@ TEST(Predictor, ReplaceBlocksRespectsPredictor) {
   const auto data = datagen::generateF32("nyx", 1, 1 << 12);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-  const Compressor comp(withPredictor(Predictor::SecondOrder, absEb));
+  CompressorStream comp(withPredictor(Predictor::SecondOrder, absEb));
   const auto c = comp.compress<f32>(data);
   const std::vector<f32> replacement(64, 3.25f);
   const auto updated = comp.replaceBlocks<f32>(c.stream, 2, replacement);
@@ -155,18 +151,12 @@ TEST(Predictor, BothPredictorsReconstructIdentically) {
   const auto data = datagen::generateF32("syntruss", 0, 1 << 13);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f32>(data));
-  const auto d1 =
-      Compressor(withPredictor(Predictor::FirstOrder, absEb))
-          .decompress<f32>(
-              Compressor(withPredictor(Predictor::FirstOrder, absEb))
-                  .compress<f32>(data)
-                  .stream);
-  const auto d2 =
-      Compressor(withPredictor(Predictor::SecondOrder, absEb))
-          .decompress<f32>(
-              Compressor(withPredictor(Predictor::SecondOrder, absEb))
-                  .compress<f32>(data)
-                  .stream);
+  CompressorStream firstOrder(withPredictor(Predictor::FirstOrder, absEb));
+  CompressorStream secondOrder(withPredictor(Predictor::SecondOrder, absEb));
+  const auto d1 = firstOrder.decompress<f32>(
+      firstOrder.compress<f32>(data).stream);
+  const auto d2 = secondOrder.decompress<f32>(
+      secondOrder.compress<f32>(data).stream);
   EXPECT_EQ(d1.data, d2.data);
 }
 
@@ -174,7 +164,7 @@ TEST(Predictor, DoublePrecisionSecondOrder) {
   const auto data = datagen::generateF64("s3d", 0, 1 << 13);
   const f64 absEb =
       Quantizer::absFromRel(1e-3, metrics::valueRange<f64>(data));
-  const Compressor comp(withPredictor(Predictor::SecondOrder, absEb));
+  CompressorStream comp(withPredictor(Predictor::SecondOrder, absEb));
   const auto d = comp.decompress<f64>(comp.compress<f64>(data).stream);
   EXPECT_TRUE(metrics::computeErrorStats<f64>(data, d.data)
                   .withinBoundFp(absEb, Precision::F64));

@@ -8,8 +8,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 
 namespace cuszp2::core {
 namespace {
@@ -60,7 +60,7 @@ TEST(Quantizer, CompressorRejectsNonFiniteData) {
   data[1234] = std::numeric_limits<f32>::quiet_NaN();
   core::Config cfg;
   cfg.absErrorBound = 1e-3;
-  const core::Compressor comp(cfg);
+  core::CompressorStream comp(cfg);
   EXPECT_THROW(comp.compress<f32>(data), Error);
 }
 

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "metrics/error_stats.hpp"
 
@@ -23,7 +23,7 @@ struct Fixture {
     cfg.mode = EncodingMode::Outlier;
     cfg.relErrorBound = 1e-4;
     data = datagen::generateF32(dataset, 0, n);
-    const Compressor comp(cfg);
+    CompressorStream comp(cfg);
     compressed = comp.compress<f32>(data);
     full = comp.decompress<f32>(compressed.stream).data;
   }
@@ -31,7 +31,7 @@ struct Fixture {
 
 TEST(RandomAccess, SingleBlockMatchesFullDecode) {
   const Fixture fx("rtm");
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto header = StreamHeader::parse(fx.compressed.stream);
   for (u64 blk : {u64{0}, u64{1}, u64{17}, header.numBlocks() - 1}) {
     const auto range =
@@ -47,7 +47,7 @@ TEST(RandomAccess, SingleBlockMatchesFullDecode) {
 
 TEST(RandomAccess, MultiBlockRanges) {
   const Fixture fx("cesm_atm");
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto header = StreamHeader::parse(fx.compressed.stream);
   const u64 nb = header.numBlocks();
   const std::vector<std::pair<u64, u64>> ranges = {
@@ -63,7 +63,7 @@ TEST(RandomAccess, MultiBlockRanges) {
 
 TEST(RandomAccess, ErrorBoundHoldsOnRange) {
   const Fixture fx("miranda");
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto range = comp.decompressBlocks<f32>(fx.compressed.stream, 10, 50);
   const f64 absEb = StreamHeader::parse(fx.compressed.stream).absErrorBound;
   for (usize i = 0; i < range.values.size(); ++i) {
@@ -76,7 +76,7 @@ TEST(RandomAccess, ErrorBoundHoldsOnRange) {
 
 TEST(RandomAccess, OutOfRangeRejected) {
   const Fixture fx("scale", 1 << 12);
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto header = StreamHeader::parse(fx.compressed.stream);
   const u64 nb = header.numBlocks();
   EXPECT_THROW(comp.decompressBlocks<f32>(fx.compressed.stream, nb, 1),
@@ -92,7 +92,7 @@ TEST(RandomAccess, PartialFinalBlock) {
   // short and the returned range must match.
   Config cfg;
   cfg.relErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   std::vector<f32> data(1000);  // 1000 = 31*32 + 8
   for (usize i = 0; i < data.size(); ++i) {
     data[i] = static_cast<f32>(i) * 0.01f;
@@ -106,7 +106,7 @@ TEST(RandomAccess, PartialFinalBlock) {
 
 TEST(RandomAccess, ReadsFarLessThanFullDecode) {
   const Fixture fx("jetin", 1 << 17);
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto one = comp.decompressBlocks<f32>(fx.compressed.stream, 100, 1);
   const auto full = comp.decompress<f32>(fx.compressed.stream);
   // Random access reads the offset array + one payload; far less than the
@@ -122,7 +122,7 @@ TEST(RandomAccess, WorksWithChainedScanConfig) {
   Fixture fx("nyx", 1 << 13);
   Config cfg = fx.cfg;
   cfg.syncAlgorithm = scan::Algorithm::ChainedScan;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const auto range = comp.decompressBlocks<f32>(fx.compressed.stream, 3, 5);
   for (usize i = 0; i < range.values.size(); ++i) {
     ASSERT_EQ(range.values[i], fx.full[range.firstElement + i]);
@@ -132,7 +132,7 @@ TEST(RandomAccess, WorksWithChainedScanConfig) {
 TEST(RandomAccess, DoublePrecision) {
   Config cfg;
   cfg.relErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const auto data = datagen::generateF64("s3d", 1, 1 << 13);
   const auto c = comp.compress<f64>(data);
   const auto full = comp.decompress<f64>(c.stream);

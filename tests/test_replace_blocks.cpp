@@ -1,4 +1,4 @@
-// Tests for random-access writes: Compressor::replaceBlocks splices
+// Tests for random-access writes: CompressorStream::replaceBlocks splices
 // re-encoded blocks into an existing stream (paper Sec. VI-B).
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "datagen/fields.hpp"
@@ -27,7 +26,7 @@ struct Fixture {
     data = datagen::generateF32("scale", 1, n);
     cfg.absErrorBound =
         Quantizer::absFromRel(1e-4, metrics::valueRange<f32>(data));
-    compressed = Compressor(cfg).compress<f32>(data);
+    compressed = CompressorStream(cfg).compress<f32>(data);
   }
 };
 
@@ -44,7 +43,7 @@ std::vector<f32> replacementValues(usize n, u64 seed) {
 
 TEST(ReplaceBlocks, MiddleRangeSplicesCorrectly) {
   const Fixture fx;
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto header = StreamHeader::parse(fx.compressed.stream);
   const u64 firstBlock = header.numBlocks() / 3;
   const auto newValues = replacementValues(32 * 5, 1);
@@ -72,7 +71,7 @@ TEST(ReplaceBlocks, MiddleRangeSplicesCorrectly) {
 
 TEST(ReplaceBlocks, UntouchedBlocksAreBitIdentical) {
   const Fixture fx;
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto before = comp.decompress<f32>(fx.compressed.stream);
   const auto newValues = replacementValues(32 * 3, 2);
   const auto updated =
@@ -86,7 +85,7 @@ TEST(ReplaceBlocks, UntouchedBlocksAreBitIdentical) {
 
 TEST(ReplaceBlocks, FirstAndLastBlocks) {
   const Fixture fx;
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto header = StreamHeader::parse(fx.compressed.stream);
 
   // First block.
@@ -108,7 +107,7 @@ TEST(ReplaceBlocks, PartialFinalBlockTail) {
   // tail.
   Config cfg;
   cfg.absErrorBound = 1e-3;
-  const Compressor comp(cfg);
+  CompressorStream comp(cfg);
   const auto data = replacementValues(1000, 5);  // 31 blocks + 8 elems
   const auto c = comp.compress<f32>(data);
   const auto header = StreamHeader::parse(c.stream);
@@ -171,7 +170,7 @@ TEST(ReplaceBlocks, FinalPartialBlockWithBlockChecksums) {
 
 TEST(ReplaceBlocks, Validation) {
   const Fixture fx;
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto header = StreamHeader::parse(fx.compressed.stream);
   EXPECT_THROW(comp.replaceBlocks<f32>(fx.compressed.stream,
                                        header.numBlocks(),
@@ -187,7 +186,7 @@ TEST(ReplaceBlocks, Validation) {
 
 TEST(ReplaceBlocks, ShrinksWhenNewBlocksCompressBetter) {
   const Fixture fx;
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   // All-zero replacement: blocks become 1-byte (offset only).
   const std::vector<f32> zeros(32 * 8, 0.0f);
   const auto updated = comp.replaceBlocks<f32>(fx.compressed.stream, 4,
@@ -201,7 +200,7 @@ TEST(ReplaceBlocks, ShrinksWhenNewBlocksCompressBetter) {
 
 TEST(ReplaceBlocks, RepeatedUpdatesStayConsistent) {
   Fixture fx(1 << 12);
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   std::vector<f32> expected = fx.data;
   auto stream = fx.compressed.stream;
   Rng rng(99);
@@ -221,7 +220,7 @@ TEST(ReplaceBlocks, RepeatedUpdatesStayConsistent) {
 
 TEST(ReplaceBlocks, PlainModeStreams) {
   Fixture fx(1 << 12, EncodingMode::Plain);
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto updated = comp.replaceBlocks<f32>(fx.compressed.stream, 2,
                                                replacementValues(32 * 2, 11));
   const auto header = StreamHeader::parse(updated.stream);
@@ -231,7 +230,7 @@ TEST(ReplaceBlocks, PlainModeStreams) {
 
 TEST(ReplaceBlocks, ProfileReportsWriteThroughput) {
   const Fixture fx;
-  const Compressor comp(fx.cfg);
+  CompressorStream comp(fx.cfg);
   const auto updated = comp.replaceBlocks<f32>(fx.compressed.stream, 1,
                                                replacementValues(32 * 4, 12));
   EXPECT_GT(updated.profile.endToEndGBps, 0.0);

@@ -12,8 +12,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/block_codec.hpp"
-#include "core/compressor.hpp"
 #include "core/segmented.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "telemetry/metrics.hpp"
 

@@ -13,7 +13,7 @@
 #include "scan/chained.hpp"
 #include "scan/cpu_scan.hpp"
 #include "scan/device_scan.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 #include "scan/lookback.hpp"
 
 namespace cuszp2::scan {
@@ -253,7 +253,7 @@ TEST(DeviceScan, CompressorRejectsReduceThenScan) {
   core::Config cfg;
   cfg.absErrorBound = 1e-3;
   cfg.syncAlgorithm = Algorithm::ReduceThenScan;
-  EXPECT_THROW(core::Compressor{cfg}, Error);
+  EXPECT_THROW(core::CompressorStream{cfg}, Error);
 }
 
 TEST(DeviceScan, RejectsZeroTileSize) {

@@ -11,8 +11,9 @@
 #      paths and would dominate sanitizer wall time.
 #
 # Usage: tools/ci_check.sh [jobs]
-# Build trees land in build-ci-release/ and build-ci-asan/ under the repo
-# root so the default build/ directory is left untouched.
+# Build trees land in build-ci-release/, build-ci-asan/ and
+# build-ci-perfbench/ under the repo root so the default build/ directory
+# is left untouched.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -181,6 +182,17 @@ echo "==== [asan] crash drill (seed 20260809, fast) ===="
 # pair wins, backlog and spread rules) have their own unit tests.
 echo "==== perfbench stats unit tests ===="
 (cd "${repo_root}" && python3 -m unittest discover -s perfbench)
+
+# The benchmark harness (perfbench/harness/*.cpp) compiles against the
+# library headers but sits outside the tier-1 build, so a header change
+# could break it without any red test. Build it (no run: a short timed
+# run can trip the open-loop validity rules for reasons unrelated to the
+# code).
+echo "==== perfbench harness build ===="
+cmake -S "${repo_root}/perfbench" -B "${repo_root}/build-ci-perfbench" \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build "${repo_root}/build-ci-perfbench" -j "${jobs}" \
+  --target perfbench_harness
 
 echo "==== [release] perf_regression -> BENCH_perf.json ===="
 (cd "${repo_root}" && "${repo_root}/build-ci-release/bench/perf_regression" \

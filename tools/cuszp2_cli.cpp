@@ -38,9 +38,9 @@
 #include "cas/block_store.hpp"
 #include "cas/compaction.hpp"
 #include "cluster/cluster.hpp"
-#include "core/compressor.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
+#include "core/stream.hpp"
 #include "datagen/fields.hpp"
 #include "io/archive.hpp"
 #include "io/raw.hpp"

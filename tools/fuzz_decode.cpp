@@ -29,7 +29,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/compressor.hpp"
+#include "core/stream.hpp"
 
 using namespace cuszp2;
 
