@@ -6,12 +6,12 @@
 // compression ratio, and the host wall-clock median.
 //
 // Modelled metrics must be bit-identical run to run so CI can diff the
-// file: the harness pins CUSZP2_WORKERS=1 before the shared pool exists
-// (the decoupled-lookback sync term depends on the measured lookback
-// depth, which is scheduling-dependent under >1 worker; single-worker
-// dispatch makes every depth exactly 1), runs every case twice, and fails
-// hard if the two passes disagree. Wall-clock numbers are diagnostic only
-// and excluded from the determinism check.
+// file. They are at any worker count: the timing model charges the
+// decoupled lookback at its serial depth, not the depth the host schedule
+// happened to produce. The harness runs on the default shared pool, runs
+// every case twice, and fails hard if the two passes disagree — which
+// would mean a modelled value picked up scheduling noise. Wall-clock
+// numbers are diagnostic only and excluded from the determinism check.
 //
 // Against a pre-existing BENCH_perf.json the harness soft-compares
 // modelled throughput within a tolerance band: drift prints a WARN line
@@ -435,9 +435,6 @@ std::string readFileIfAny(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Must precede the first Launcher: the shared pool is sized once.
-  setenv("CUSZP2_WORKERS", "1", 1);
-
   const std::string outPath = argc > 1 ? argv[1] : "BENCH_perf.json";
   const std::string previous = readFileIfAny(outPath);
 

@@ -1,5 +1,5 @@
 // Host SIMD dispatch for the hot codec kernels (quantize+diff, bit-plane
-// pack/unpack, prefix sums, dequantize). The compressed format is defined
+// pack/unpack, prefix sums, dequantize, the REL value-range min/max). The compressed format is defined
 // by the scalar kernels; every vector path here must be byte-identical to
 // its scalar counterpart — integer kernels trivially, the float kernels by
 // doing all arithmetic in the same IEEE f64 operations the scalar code
@@ -444,6 +444,78 @@ __attribute__((target("avx2"))) inline u64 sumMaskedU64Avx2(const u64* words,
   return total;
 }
 
+// MINPS/MAXPS return their second operand unless the first is strictly
+// smaller/larger, so min(v, acc) is exactly `v < acc ? v : acc` — the
+// std::min(acc, v) step, which never takes a NaN element — and likewise
+// for max.
+__attribute__((target("avx2"))) inline void minMaxF32Avx2(const f32* v,
+                                                          usize n, f32* lo,
+                                                          f32* hi) {
+  __m256 lo0 = _mm256_set1_ps(*lo);
+  __m256 hi0 = _mm256_set1_ps(*hi);
+  __m256 lo1 = lo0;
+  __m256 hi1 = hi0;
+  usize i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256 a = _mm256_loadu_ps(v + i);
+    const __m256 b = _mm256_loadu_ps(v + i + 8);
+    lo0 = _mm256_min_ps(a, lo0);
+    hi0 = _mm256_max_ps(a, hi0);
+    lo1 = _mm256_min_ps(b, lo1);
+    hi1 = _mm256_max_ps(b, hi1);
+  }
+  alignas(32) f32 los[8];
+  alignas(32) f32 his[8];
+  _mm256_store_ps(los, _mm256_min_ps(lo1, lo0));
+  _mm256_store_ps(his, _mm256_max_ps(hi1, hi0));
+  f32 l = *lo;
+  f32 h = *hi;
+  for (usize k = 0; k < 8; ++k) {
+    l = los[k] < l ? los[k] : l;
+    h = h < his[k] ? his[k] : h;
+  }
+  for (; i < n; ++i) {
+    l = v[i] < l ? v[i] : l;
+    h = h < v[i] ? v[i] : h;
+  }
+  *lo = l;
+  *hi = h;
+}
+
+__attribute__((target("avx2"))) inline void minMaxF64Avx2(const f64* v,
+                                                          usize n, f64* lo,
+                                                          f64* hi) {
+  __m256d lo0 = _mm256_set1_pd(*lo);
+  __m256d hi0 = _mm256_set1_pd(*hi);
+  __m256d lo1 = lo0;
+  __m256d hi1 = hi0;
+  usize i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a = _mm256_loadu_pd(v + i);
+    const __m256d b = _mm256_loadu_pd(v + i + 4);
+    lo0 = _mm256_min_pd(a, lo0);
+    hi0 = _mm256_max_pd(a, hi0);
+    lo1 = _mm256_min_pd(b, lo1);
+    hi1 = _mm256_max_pd(b, hi1);
+  }
+  alignas(32) f64 los[4];
+  alignas(32) f64 his[4];
+  _mm256_store_pd(los, _mm256_min_pd(lo1, lo0));
+  _mm256_store_pd(his, _mm256_max_pd(hi1, hi0));
+  f64 l = *lo;
+  f64 h = *hi;
+  for (usize k = 0; k < 4; ++k) {
+    l = los[k] < l ? los[k] : l;
+    h = h < his[k] ? his[k] : h;
+  }
+  for (; i < n; ++i) {
+    l = v[i] < l ? v[i] : l;
+    h = h < v[i] ? v[i] : h;
+  }
+  *lo = l;
+  *hi = h;
+}
+
 }  // namespace detail
 
 #endif  // CUSZP2_SIMD_X86
@@ -732,6 +804,37 @@ inline bool sumMaskedU64(std::span<const u64> words, u64 mask, u64* out) {
   (void)words;
   (void)mask;
   (void)out;
+  return false;
+}
+
+/// Folds `v` into the running extremes: *lo = min, *hi = max, with the
+/// exact `std::min(lo, x)` / `std::max(hi, x)` step of the scalar
+/// metrics::valueRange, so a NaN element never replaces an extreme. Lane
+/// order only decides which of two equal values is kept — the sign of a
+/// zero extreme, nothing else. False = caller's scalar loop.
+inline bool minMax(std::span<const f32> v, f32* lo, f32* hi) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive()) {
+    detail::minMaxF32Avx2(v.data(), v.size(), lo, hi);
+    return true;
+  }
+#endif
+  (void)v;
+  (void)lo;
+  (void)hi;
+  return false;
+}
+
+inline bool minMax(std::span<const f64> v, f64* lo, f64* hi) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive()) {
+    detail::minMaxF64Avx2(v.data(), v.size(), lo, hi);
+    return true;
+  }
+#endif
+  (void)v;
+  (void)lo;
+  (void)hi;
   return false;
 }
 

@@ -45,6 +45,25 @@ void ThreadPool::wait() {
   cvDone_.wait(lock, [this] { return inFlight_ == 0; });
 }
 
+void ThreadPool::run(usize tasks, const std::function<void(usize)>& fn) {
+  if (currentPool() == this) {
+    for (usize i = 0; i < tasks; ++i) fn(i);
+    return;
+  }
+  std::mutex doneMutex;
+  std::condition_variable doneCv;
+  usize remaining = tasks;
+  for (usize i = 0; i < tasks; ++i) {
+    submit([&, i] {
+      fn(i);
+      std::lock_guard<std::mutex> lock(doneMutex);
+      if (--remaining == 0) doneCv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(doneMutex);
+  doneCv.wait(lock, [&] { return remaining == 0; });
+}
+
 usize ThreadPool::defaultWorkers() {
   if (const char* env = std::getenv("CUSZP2_WORKERS")) {
     const long v = std::strtol(env, nullptr, 10);

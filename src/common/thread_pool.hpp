@@ -1,10 +1,11 @@
 // FIFO thread pool used by the GPU execution model's kernel launcher.
 //
-// FIFO ordering is load-bearing: the decoupled-lookback scan (paper Sec. IV-C)
-// requires that a thread block's predecessors were dispatched no later than
-// the block itself, so the lowest-indexed unfinished block is always running
-// and can make progress — the same forward-progress guarantee real GPU
-// hardware gives the algorithm.
+// Scan progress does not rest on the queue order. The launcher hands a
+// grid's tiles out one at a time, in index order, from a per-launch counter,
+// and a worker only claims a tile it runs at once; so every tile a
+// decoupled-lookback tile (paper Sec. IV-C) waits on is already running —
+// the forward-progress guarantee real GPU hardware gives the algorithm.
+// FIFO order only keeps concurrent launches from starving one another.
 #pragma once
 
 #include <condition_variable>
@@ -33,6 +34,14 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait();
 
+  /// Runs fn(0), ..., fn(tasks - 1) on the pool and returns once all of
+  /// them have finished, waiting only on these tasks (callers sharing the
+  /// pool do not serialize on each other's work). Called from one of this
+  /// pool's own workers, it runs them in order on the calling thread
+  /// instead: queueing behind the caller could deadlock. `fn` must not
+  /// throw.
+  void run(usize tasks, const std::function<void(usize)>& fn);
+
   usize workerCount() const { return threads_.size(); }
 
   /// Reasonable default worker count for this host: at least 2 so that
@@ -40,11 +49,11 @@ class ThreadPool {
   /// even on single-core CI machines. A `CUSZP2_WORKERS` environment
   /// variable overrides the hardware-derived value (clamped to [1, 64]).
   /// An explicit request of 1 is honoured: every spin protocol in the
-  /// tree waits only on *earlier* tiles, so one FIFO worker makes
-  /// progress — and runs tiles in order, which makes the measured sync
-  /// stats (lookback depth, wait spins) scheduling-independent. The
-  /// perf-regression harness relies on that for deterministic modelled
-  /// metrics.
+  /// tree waits only on *earlier* tiles, so one worker makes progress —
+  /// and runs tiles in order, which makes the observed sync telemetry
+  /// (lookback depth, wait spins) scheduling-independent. The modelled
+  /// metrics do not depend on the worker count (the timing model charges
+  /// the serial lookback depth), so no harness needs this pin.
   static usize defaultWorkers();
 
   /// Sentinel returned by currentWorkerIndex() on non-pool threads.

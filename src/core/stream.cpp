@@ -120,8 +120,9 @@ struct FieldJob {
 /// seed one-shot pipeline exactly so the staged bytes are identical.
 template <FloatingPoint T>
 void prepareField(const Config& config, const gpusim::TimingModel& timing,
-                  Arena& arena, const WorkerScratch& scratch, usize workers,
-                  std::span<const T> data, FieldJob& job) {
+                  Arena& arena, const WorkerScratch& scratch,
+                  ThreadPool& pool, std::span<const T> data, FieldJob& job) {
+  const usize workers = pool.workerCount();
   const u32 L = config.blockSize;
   const u32 bpt = config.blocksPerTile;
   const u64 n = data.size();
@@ -129,10 +130,11 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   job.originalBytes = n * sizeof(T);
 
   // Resolve the error bound. If only a REL bound is configured, reduce the
-  // value range on-device first (one bandwidth-limited read of the input).
+  // value range on-device first (one bandwidth-limited read of the input;
+  // on the host, a SIMD min/max split across the pool).
   f64 absEb = config.absErrorBound;
   if (absEb <= 0.0) {
-    const f64 range = metrics::valueRange(data);
+    const f64 range = metrics::pooledValueRange(data, pool);
     absEb = Quantizer::absFromRel(config.relErrorBound, range);
     job.rangeSeconds =
         gpusim::modelledPassSeconds(job.originalBytes, timing.spec(), 1.0);
@@ -349,7 +351,11 @@ bool compressWriteDigestsMatch(const FieldJob& job, u32 bpt) {
 }  // namespace
 
 CompressorStream::CompressorStream(Config config, gpusim::DeviceSpec device)
-    : config_(config), timing_(std::move(device)), launcher_() {
+    : CompressorStream(config, std::move(device), gpusim::Launcher::shared()) {}
+
+CompressorStream::CompressorStream(Config config, gpusim::DeviceSpec device,
+                                   ThreadPool& pool)
+    : config_(config), timing_(std::move(device)), launcher_(pool) {
   config_.validate();
   launcher_.setTimingModel(&timing_);
   telemetry::MetricsRegistry& reg = telemetry::registry();
@@ -428,7 +434,7 @@ gpusim::LaunchResult CompressorStream::launchVerified(
     gpusim::LaunchResult launch;
     bool ok = false;
     try {
-      launch = launcher_.launch(gridSize, body, 0, faultTarget, name);
+      launch = launcher_.launch(gridSize, body, faultTarget, name);
       ok = verify();
     } catch (const Error&) {
       failure = std::current_exception();
@@ -464,7 +470,8 @@ Compressed CompressorStream::compress(std::span<const T> data) {
   const WorkerScratch scratch = makeWorkerScratch(
       arena_, workers, config_.blocksPerTile, config_.blockSize);
   FieldJob job;
-  prepareField(config_, timing_, arena_, scratch, workers, data, job);
+  prepareField(config_, timing_, arena_, scratch, launcher_.pool(), data,
+               job);
   gpusim::LaunchResult launch;
   if (job.body) {
     if (config_.faultRetries > 0) {
@@ -475,7 +482,7 @@ Compressed CompressorStream::compress(std::span<const T> data) {
             job.sync.emplace(config_.syncAlgorithm, job.tiles, arena_);
           });
     } else {
-      launch = launcher_.launch(job.tiles, job.body, 0, {}, "compress");
+      launch = launcher_.launch(job.tiles, job.body, {}, "compress");
     }
   }
   Compressed out = finishField(config_, timing_, job, launch);
@@ -485,13 +492,25 @@ Compressed CompressorStream::compress(std::span<const T> data) {
 
 template <FloatingPoint T>
 Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
+  Decompressed<T> out;
+  out.data.resize(StreamHeader::parse(stream).numElements);
+  out.profile = decompressInto<T>(stream, out.data);
+  return out;
+}
+
+template <FloatingPoint T>
+KernelProfile CompressorStream::decompressInto(ConstByteSpan stream,
+                                               std::span<T> out) {
   arena_.reset();
   applyInjectedArenaBudget();
   const StreamHeader header = StreamHeader::parse(stream);
   require(header.precision == precisionOf<T>(),
           "decompress: stream precision does not match the requested type");
+  require(out.size() == header.numElements,
+          "decompress: output size does not match the stream's element "
+          "count");
   if (header.version >= kFormatVersionV3) {
-    return decompressV3<T>(stream, header);
+    return decompressV3<T>(stream, header, out);
   }
 
   // Integrity check when the stream carries a checksum.
@@ -514,12 +533,11 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   const u32 bpt = config_.blocksPerTile;
   const u64 n = header.numElements;
 
-  Decompressed<T> out;
-  out.data.assign(n, T{});
   if (n == 0) {
-    out.profile.endToEndSeconds = timing_.launchSeconds();
+    KernelProfile profile;
+    profile.endToEndSeconds = timing_.launchSeconds();
     noteDecompressed(stream.size(), 0, 0.0);
-    return out;
+    return profile;
   }
 
   const u32 tiles = static_cast<u32>(
@@ -586,7 +604,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
       }
       if (!h.outlierMode && h.fixedLength == 0) {
         // Zero block: flush with device memset (paper Sec. V-B, JetIn).
-        for (u64 e = eFirst; e < eLast; ++e) out.data[e] = T{};
+        for (u64 e = eFirst; e < eLast; ++e) out[e] = T{};
         zeroBytes += (eLast - eFirst) * sizeof(T);
         continue;
       }
@@ -600,7 +618,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
       payloadBytesRead += size;
       dequantizeSpan(quantizer,
                      std::span<const i32>(quantsArr, eLast - eFirst),
-                     out.data.data() + eFirst);
+                     out.data() + eFirst);
       decodedElems += eLast - eFirst;
     }
     tileBad[ctx.blockIdx] = firstBad;
@@ -619,7 +637,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
       const u64 eFirst = firstBlock * L;
       const u64 eLast = std::min<u64>(n, lastBlock * L);
       tileWriteCrc[ctx.blockIdx] = crc32(ConstByteSpan(
-          reinterpret_cast<const std::byte*>(out.data.data() + eFirst),
+          reinterpret_cast<const std::byte*>(out.data() + eFirst),
           (eLast - eFirst) * sizeof(T)));
     }
   };
@@ -627,14 +645,14 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   gpusim::LaunchResult launch;
   if (config_.faultRetries > 0) {
     const std::span<std::byte> outBytes(
-        reinterpret_cast<std::byte*>(out.data.data()), n * sizeof(T));
+        reinterpret_cast<std::byte*>(out.data()), n * sizeof(T));
     const auto verify = [&, tileWriteCrc] {
       for (u32 t = 0; t < tiles; ++t) {
         const u64 eFirst = static_cast<u64>(t) * bpt * L;
         const u64 eLast = std::min<u64>(
             n, std::min<u64>(numBlocks, static_cast<u64>(t) * bpt + bpt) * L);
         const u32 crc = crc32(ConstByteSpan(
-            reinterpret_cast<const std::byte*>(out.data.data() + eFirst),
+            reinterpret_cast<const std::byte*>(out.data() + eFirst),
             (eLast - eFirst) * sizeof(T)));
         if (crc != tileWriteCrc[t]) return false;
       }
@@ -644,15 +662,15 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
       syncState.emplace(config_.syncAlgorithm, tiles, arena_);
     });
   } else {
-    launch = launcher_.launch(tiles, body, 0, {}, "decompress");
+    launch = launcher_.launch(tiles, body, {}, "decompress");
   }
   throwFirstDigestMismatch("decompress", tileBad, blockStart,
                            header.payloadBegin());
 
-  out.profile =
+  const KernelProfile profile =
       makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
-  noteDecompressed(stream.size(), n * sizeof(T), out.profile.endToEndGBps);
-  return out;
+  noteDecompressed(stream.size(), n * sizeof(T), profile.endToEndGBps);
+  return profile;
 }
 
 // Explicit instantiations of the public surface (the shared readers are
@@ -661,5 +679,9 @@ template Compressed CompressorStream::compress<f32>(std::span<const f32>);
 template Compressed CompressorStream::compress<f64>(std::span<const f64>);
 template Decompressed<f32> CompressorStream::decompress<f32>(ConstByteSpan);
 template Decompressed<f64> CompressorStream::decompress<f64>(ConstByteSpan);
+template KernelProfile CompressorStream::decompressInto<f32>(ConstByteSpan,
+                                                             std::span<f32>);
+template KernelProfile CompressorStream::decompressInto<f64>(ConstByteSpan,
+                                                             std::span<f64>);
 
 }  // namespace cuszp2::core

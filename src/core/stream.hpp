@@ -7,6 +7,7 @@
 //               simulated kernel launch.
 // decompress(): offset scan -> payload decode -> reconstruction, also one
 //               kernel; all-zero blocks are flushed via device memset.
+//               decompressInto() is the same decode into a caller's span.
 // decompressBlocks(): random access to a block range (paper Sec. VI-B):
 //               a host walk over the offset (descriptor) array positions
 //               the blocks, then one kernel decodes only the requested
@@ -167,6 +168,11 @@ class CompressorStream {
   explicit CompressorStream(Config config = {},
                             gpusim::DeviceSpec device = gpusim::a100_40gb());
 
+  /// Same, dispatching onto `pool` instead of the process-shared one (the
+  /// pool must outlive the stream). The bytes written and the modelled
+  /// timings do not depend on the pool's size.
+  CompressorStream(Config config, gpusim::DeviceSpec device, ThreadPool& pool);
+
   /// Re-targets the stream without touching its warm scratch. Cheap enough
   /// to call before every operation.
   void reconfigure(const Config& config);
@@ -187,6 +193,12 @@ class CompressorStream {
   /// Decompresses a full stream produced by compress().
   template <FloatingPoint T>
   Decompressed<T> decompress(ConstByteSpan stream);
+
+  /// Decompresses a full stream into `out`, which must hold exactly the
+  /// stream's element count; every element is written. decompress()
+  /// allocates and calls this, so one decoder per format serves both.
+  template <FloatingPoint T>
+  KernelProfile decompressInto(ConstByteSpan stream, std::span<T> out);
 
   /// Salvage decode: treats `stream` as untrusted, bounds-checks every
   /// offset/payload access, quarantines blocks that are truncated,
@@ -227,16 +239,16 @@ class CompressorStream {
 
  private:
   // Format-v3 compress and full decode (stream_v3.cpp). compress() and
-  // decompress() branch here when Config::pipeline != Legacy or the stream
-  // header says version 3; the legacy single-kernel compress and lookback
-  // decompress in stream.cpp keep writing and reading v1/v2. The block
+  // decompressInto() branch here when Config::pipeline != Legacy or the
+  // stream header says version 3; the legacy single-kernel compress and
+  // lookback decompress in stream.cpp keep writing and reading v1/v2. The block
   // range, replaceBlocks and salvage readers have one body for every
   // version, driven by the shared descriptor walk.
   template <FloatingPoint T>
   Compressed compressV3(std::span<const T> data);
   template <FloatingPoint T>
-  Decompressed<T> decompressV3(ConstByteSpan stream,
-                               const StreamHeader& header);
+  KernelProfile decompressV3(ConstByteSpan stream, const StreamHeader& header,
+                             std::span<T> out);
 
   /// Runs a kernel under the detect-and-retry policy: relaunches up to
   /// Config::faultRetries times while `verify` reports corrupt output or

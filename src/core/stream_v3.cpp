@@ -255,7 +255,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   f64 passSeconds = 0.0;
   f64 absEb = config_.absErrorBound;
   if (absEb <= 0.0) {
-    const f64 range = metrics::valueRange(data);
+    const f64 range = metrics::pooledValueRange(data, launcher_.pool());
     absEb = Quantizer::absFromRel(config_.relErrorBound, range);
     passSeconds += gpusim::modelledPassSeconds(n * sizeof(T), timing_.spec(),
                                                1.0);
@@ -345,7 +345,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
     ctx.mem.noteL1((lastBlock - firstBlock) * L * 12);
   };
   const auto analyzeLaunch =
-      launcher_.launch(tiles, analyzeBody, 0, {}, "v3_analyze");
+      launcher_.launch(tiles, analyzeBody, {}, "v3_analyze");
 
   // Host stage — shared Huffman table from the whole-stream histogram,
   // per-block Huffman candidate sizes, pipeline selection, prefix sum.
@@ -465,7 +465,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
     ctx.mem.noteL1((lastBlock - firstBlock) * L * 4);
   };
   const auto encodeLaunch =
-      launcher_.launch(tiles, encodeBody, 0, {}, "v3_encode");
+      launcher_.launch(tiles, encodeBody, {}, "v3_encode");
 
   if (config_.checksum) {
     stampStreamCrc(header, std::span<std::byte>(staging, finalBytes));
@@ -486,10 +486,12 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
 }
 
 template <FloatingPoint T>
-Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
-                                               const StreamHeader& header) {
-  // Caller (decompress) has already reset the arena, applied any injected
-  // budget, parsed the header and checked the precision tag.
+KernelProfile CompressorStream::decompressV3(ConstByteSpan stream,
+                                            const StreamHeader& header,
+                                            std::span<T> out) {
+  // Caller (decompressInto) has already reset the arena, applied any
+  // injected budget, parsed the header and checked the precision tag and
+  // the output size.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
     require(streamCrc(stream) == header.checksum,
@@ -503,12 +505,11 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   const u64 n = header.numElements;
   const u64 numBlocks = header.numBlocks();
 
-  Decompressed<T> out;
-  out.data.assign(n, T{});
   if (n == 0) {
-    out.profile.endToEndSeconds = timing_.launchSeconds();
+    KernelProfile profile;
+    profile.endToEndSeconds = timing_.launchSeconds();
     noteDecompressed(stream.size(), 0, 0.0);
-    return out;
+    return profile;
   }
 
   const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks + 1);
@@ -554,7 +555,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
       if (blockBytes.empty() && desc.pipeline != PipelineId::Huffman &&
           desc.pipeline != PipelineId::Rle) {
         // Zero block: flush with device memset (as in the legacy path).
-        for (u64 e = eFirst; e < eLast; ++e) out.data[e] = T{};
+        for (u64 e = eFirst; e < eLast; ++e) out[e] = T{};
         zeroBytes += (eLast - eFirst) * sizeof(T);
         continue;
       }
@@ -562,7 +563,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
       decodeBlockV3(desc, blockBytes, codec, decoderPtr, header.predictor, q);
       dequantizeSpan(quantizer,
                      std::span<const i32>(quantsArr, eLast - eFirst),
-                     out.data.data() + eFirst);
+                     out.data() + eFirst);
       decodedElems += eLast - eFirst;
       payloadBytesRead += blockBytes.size();
     }
@@ -576,14 +577,14 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
     ctx.mem.noteOps(decodedElems * 8);
     ctx.mem.noteL1(decodedElems * 8);
   };
-  const auto launch = launcher_.launch(tiles, body, 0, {}, "v3_decompress");
+  const auto launch = launcher_.launch(tiles, body, {}, "v3_decompress");
   throwFirstDigestMismatch("decompress", tileBad, blockStart,
                            header.payloadBegin());
 
-  out.profile =
+  const KernelProfile profile =
       makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
-  noteDecompressed(stream.size(), n * sizeof(T), out.profile.endToEndGBps);
-  return out;
+  noteDecompressed(stream.size(), n * sizeof(T), profile.endToEndGBps);
+  return profile;
 }
 
 template <FloatingPoint T>
@@ -672,7 +673,7 @@ BlockRange<T> CompressorStream::decompressBlocks(ConstByteSpan stream,
     }
   };
   const auto launch =
-      launcher_.launch(tiles, body, 0, {}, "random_access_decode");
+      launcher_.launch(tiles, body, {}, "random_access_decode");
   throwFirstDigestMismatch("decompressBlocks", tileBad, blockStart,
                            header.payloadBegin());
 
@@ -753,7 +754,7 @@ Compressed CompressorStream::replaceBlocks(ConstByteSpan stream,
     ctx.mem.noteOps(values.size() * 16);
   };
   const auto launch =
-      launcher_.launch(1, reencodeBody, 0, {}, "replace_blocks");
+      launcher_.launch(1, reencodeBody, {}, "replace_blocks");
 
   // Splice: header | descriptors (patched) | dict | payload prefix | new
   // | suffix | footer (rebuilt, when the stream has one). The dictionary
@@ -935,7 +936,7 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
     ctx.mem.noteL1(decodedElems * 8);
   };
   const auto launch =
-      launcher_.launch(tiles, salvageBody, 0, {}, "salvage_decode");
+      launcher_.launch(tiles, salvageBody, {}, "salvage_decode");
 
   for (u64 blk = 0; blk < numBlocks; ++blk) {
     if (rep.verdicts[blk] == BlockVerdict::Good) continue;
@@ -957,10 +958,10 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
 // private members).
 template Compressed CompressorStream::compressV3<f32>(std::span<const f32>);
 template Compressed CompressorStream::compressV3<f64>(std::span<const f64>);
-template Decompressed<f32> CompressorStream::decompressV3<f32>(
-    ConstByteSpan, const StreamHeader&);
-template Decompressed<f64> CompressorStream::decompressV3<f64>(
-    ConstByteSpan, const StreamHeader&);
+template KernelProfile CompressorStream::decompressV3<f32>(
+    ConstByteSpan, const StreamHeader&, std::span<f32>);
+template KernelProfile CompressorStream::decompressV3<f64>(
+    ConstByteSpan, const StreamHeader&, std::span<f64>);
 template BlockRange<f32> CompressorStream::decompressBlocks<f32>(
     ConstByteSpan, u64, u64);
 template BlockRange<f64> CompressorStream::decompressBlocks<f64>(

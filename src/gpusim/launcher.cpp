@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -36,29 +35,6 @@ thread_local std::atomic<bool>* tCurrentAbortFlag = nullptr;
 /// kernel on the host model, small enough that tests stay fast.
 constexpr std::chrono::milliseconds kFaultTick{1};
 
-/// Per-launch completion latch, so concurrent launches sharing one pool
-/// wait only on their own tasks (two streams compressing on the same
-/// device must not serialize on each other's completion).
-class Latch {
- public:
-  explicit Latch(usize count) : remaining_(count) {}
-
-  void countDown() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (--remaining_ == 0) cv_.notify_all();
-  }
-
-  void wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  usize remaining_;
-};
-
 }  // namespace
 
 bool launchAborted() {
@@ -89,7 +65,6 @@ ThreadPool& Launcher::shared() {
 
 LaunchResult Launcher::launch(u32 gridSize,
                               const std::function<void(BlockCtx&)>& body,
-                              u32 blocksPerTask,
                               std::span<std::byte> faultTarget,
                               const char* name) {
   const u64 launchIdx = launchSeq_.fetch_add(1, std::memory_order_relaxed);
@@ -101,7 +76,7 @@ LaunchResult Launcher::launch(u32 gridSize,
   if (ThreadPool::currentPool() == pool_) {
     runInline(gridSize, body, fault, result);
   } else if (gridSize > 0) {
-    runOnPool(gridSize, body, blocksPerTask, fault, result);
+    runOnPool(gridSize, body, fault, result);
   } else {
     return result;
   }
@@ -224,84 +199,76 @@ void Launcher::runInline(u32 gridSize,
 
 void Launcher::runOnPool(u32 gridSize,
                          const std::function<void(BlockCtx&)>& body,
-                         u32 blocksPerTask, bool fault,
-                         LaunchResult& result) {
-  if (blocksPerTask == 0) {
-    // Enough tasks to keep every worker busy several times over, but not
-    // so many that queue overhead dominates.
-    const u32 targetTasks = static_cast<u32>(pool_->workerCount()) * 8;
-    blocksPerTask = std::max<u32>(1, gridSize / std::max<u32>(1, targetTasks));
-  }
-  const u32 numTasks = static_cast<u32>(
-      (static_cast<u64>(gridSize) + blocksPerTask - 1) / blocksPerTask);
-
-  // Per-task accumulation avoids false sharing on per-block counters.
-  std::vector<MemCounters> taskMem(numTasks);
-  std::vector<SyncStats> taskSync(numTasks);
+                         bool fault, LaunchResult& result) {
+  // One claimer per worker, never more than there are tiles. A claimer
+  // takes the next tile index from `next` and runs that tile before it
+  // claims another, so tiles start in index order and every claimed tile
+  // is running: a tile spinning on a predecessor (decoupled lookback,
+  // chained scan) only ever waits on a tile some worker is executing —
+  // the dispatch rule of Merrill & Garland's single-pass scan.
+  const u32 claimers = static_cast<u32>(
+      std::min<usize>(pool_->workerCount(), gridSize));
+  std::atomic<u32> next{0};
 
   std::atomic<bool> abortFlag{false};
-  std::mutex exceptionMutex;
+  std::mutex mutex;  // guards firstException and the counters in `result`
   std::exception_ptr firstException;
-  Latch done(numTasks);
 
   const i64 abortBlock = fault ? faultPlan_->abortBlock : -1;
   const u32 wedgeTicks = fault ? faultPlan_->wedgeTicks : 0;
   const auto t0 = std::chrono::steady_clock::now();
   if (fault && faultPlan_->stallTicks > 0) {
-    // Kernel-stall fault: the launching thread hangs before any task is
+    // Kernel-stall fault: the launching thread hangs before any tile is
     // dispatched — the grid exists but makes no progress, exactly what a
     // deadline watchdog should observe as a hung launch.
     result.injectedStallTicks = faultPlan_->stallTicks;
     std::this_thread::sleep_for(faultPlan_->stallTicks * kFaultTick);
   }
   result.injectedWedgeTicks = wedgeTicks;
-  for (u32 task = 0; task < numTasks; ++task) {
-    const u32 first = task * blocksPerTask;
-    const u32 last = std::min(gridSize, first + blocksPerTask);
-    // Worker-wedge fault: whichever pool worker picks up the kernel's
-    // first task stops draining for wedgeTicks. Later blocks of the same
-    // grid may run (and spin on their predecessor) in the meantime; FIFO
-    // dispatch guarantees the wedged block eventually finishes, so the
-    // launch is slow but never deadlocked.
-    const u32 wedge = task == 0 ? wedgeTicks : 0;
-    pool_->submit([&, task, first, last, wedge] {
-      detail::setCurrentAbortFlag(&abortFlag);
-      try {
-        if (wedge > 0) std::this_thread::sleep_for(wedge * kFaultTick);
-        for (u32 b = first; b < last; ++b) {
-          if (abortBlock == static_cast<i64>(b)) {
-            throw Error("gpusim: injected block abort (FaultPlan)");
-          }
-          BlockCtx ctx;
-          ctx.blockIdx = b;
-          ctx.gridSize = gridSize;
-          body(ctx);
-          taskMem[task] += ctx.mem;
-          taskSync[task] += ctx.sync;
+  pool_->run(claimers, [&](usize) {
+    detail::setCurrentAbortFlag(&abortFlag);
+    // Claimer-local counters, merged once: no sharing per block.
+    MemCounters mem;
+    SyncStats sync;
+    try {
+      while (!abortFlag.load(std::memory_order_acquire)) {
+        const u32 b = next.fetch_add(1, std::memory_order_relaxed);
+        if (b >= gridSize) break;
+        // Worker-wedge fault: the worker that claims tile 0 stops for
+        // wedgeTicks before running it. Other workers keep claiming (and
+        // may spin on tile 0) meanwhile; the wedged worker then resumes,
+        // so the launch is slow but never deadlocked.
+        if (b == 0 && wedgeTicks > 0) {
+          std::this_thread::sleep_for(wedgeTicks * kFaultTick);
         }
-      } catch (...) {
-        // Record the exception before raising the abort flag so that
-        // secondary "launch aborted" errors from spinning blocks never
-        // mask the root cause.
-        {
-          std::lock_guard<std::mutex> lock(exceptionMutex);
-          if (!firstException) firstException = std::current_exception();
+        if (abortBlock == static_cast<i64>(b)) {
+          throw Error("gpusim: injected block abort (FaultPlan)");
         }
-        abortFlag.store(true, std::memory_order_release);
+        BlockCtx ctx;
+        ctx.blockIdx = b;
+        ctx.gridSize = gridSize;
+        body(ctx);
+        mem += ctx.mem;
+        sync += ctx.sync;
       }
-      detail::setCurrentAbortFlag(nullptr);
-      done.countDown();
-    });
-  }
-  done.wait();
+    } catch (...) {
+      // Record the exception before raising the abort flag so that
+      // secondary "launch aborted" errors from spinning blocks never
+      // mask the root cause.
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!firstException) firstException = std::current_exception();
+      }
+      abortFlag.store(true, std::memory_order_release);
+    }
+    detail::setCurrentAbortFlag(nullptr);
+    std::lock_guard<std::mutex> lock(mutex);
+    result.mem += mem;
+    result.sync += sync;
+  });
   const auto t1 = std::chrono::steady_clock::now();
 
   if (firstException) std::rethrow_exception(firstException);
-
-  for (u32 task = 0; task < numTasks; ++task) {
-    result.mem += taskMem[task];
-    result.sync += taskSync[task];
-  }
   result.wallSeconds = std::chrono::duration<f64>(t1 - t0).count();
 }
 

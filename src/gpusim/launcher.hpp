@@ -1,10 +1,11 @@
 // Thread-block grid launcher: the execution engine of the GPU model.
 //
 // A "kernel" is a callable invoked once per thread block with a BlockCtx.
-// Blocks are dispatched FIFO onto the shared thread pool, giving the same
-// forward-progress guarantee GPU hardware gives the decoupled-lookback scan:
-// the lowest-indexed unfinished block is always running, so spinning on a
-// predecessor always terminates (see common/thread_pool.hpp).
+// Each pool worker claims blocks one at a time, in index order, from a
+// per-launch counter and runs each block as soon as it claims it. That is
+// the forward-progress guarantee GPU hardware gives the decoupled-lookback
+// scan: every block a spinning block can wait on is already running, so
+// spinning on a predecessor always terminates.
 //
 // Each block records its memory traffic and sync behaviour into its own
 // counters; the launcher reduces them into one LaunchResult the TimingModel
@@ -76,10 +77,10 @@ struct FaultPlan {
   /// mode: the kernel eventually completes correctly, it is just slow —
   /// what a service-level watchdog must detect and route around.
   u32 stallTicks = 0;
-  /// Worker-wedge fault: the pool worker that picks up the launch's first
-  /// task sleeps this many ticks mid-drain. The liveness mode: unlike a
-  /// stall, the grid is already in flight and one executor has stopped
-  /// draining while the rest of the pool keeps running.
+  /// Worker-wedge fault: the pool worker that claims the launch's first
+  /// block sleeps this many ticks before running it. The liveness mode:
+  /// unlike a stall, the grid is already in flight and one executor has
+  /// stopped draining while the rest of the pool keeps running.
   u32 wedgeTicks = 0;
   /// Arena-exhaustion fault: when nonzero, the owning stream caps its
   /// scratch arena at this many bytes for the operation that would issue
@@ -107,10 +108,8 @@ class Launcher {
   /// startup cost.
   static ThreadPool& shared();
 
-  /// Runs `body` once per block index in [0, gridSize). Consecutive blocks
-  /// are grouped into tasks of `blocksPerTask` (0 = choose automatically);
-  /// grouping preserves dispatch order and hence lookback progress.
-  /// `faultTarget` (optional) is the kernel's written bytes, as far as
+  /// Runs `body` once per block index in [0, gridSize), blocks started in
+  /// index order (see the header comment). `faultTarget` (optional) is the kernel's written bytes, as far as
   /// fault injection is concerned: an armed FaultPlan flips bits there
   /// after the grid completes (the soft-error model — memory damaged after
   /// the write retires, caught only by a later read-back). `name` keys the
@@ -118,11 +117,15 @@ class Launcher {
   /// literal (it is not copied).
   LaunchResult launch(u32 gridSize,
                       const std::function<void(BlockCtx&)>& body,
-                      u32 blocksPerTask = 0,
                       std::span<std::byte> faultTarget = {},
                       const char* name = "kernel");
 
   usize workerCount() const { return pool_->workerCount(); }
+
+  /// The pool this launcher dispatches onto, for host passes that split
+  /// work across it without being a kernel launch (no launch index, so no
+  /// FaultPlan trigger moves).
+  ThreadPool& pool() const { return *pool_; }
 
   /// Arms deterministic fault injection (replacing any previous plan).
   /// Affects only launches issued through this Launcher instance.
@@ -166,7 +169,7 @@ class Launcher {
 
   /// Runs every block of the grid on the pool and reduces the counters.
   void runOnPool(u32 gridSize, const std::function<void(BlockCtx&)>& body,
-                 u32 blocksPerTask, bool fault, LaunchResult& result);
+                 bool fault, LaunchResult& result);
   /// Runs every block of the grid on the calling thread (nested launches).
   void runInline(u32 gridSize, const std::function<void(BlockCtx&)>& body,
                  bool fault, LaunchResult& result);

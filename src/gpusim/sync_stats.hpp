@@ -1,5 +1,8 @@
 // Statistics recorded by the device-level synchronization (prefix-sum)
 // protocols, consumed by the TimingModel to produce Fig. 17-style numbers.
+// The model reads only `method`, `tiles` and `tileDataBytes`; the observed
+// lookback steps, depth and spins depend on the host schedule and are
+// telemetry.
 #pragma once
 
 #include "common/types.hpp"
@@ -23,8 +26,8 @@ struct SyncStats {
   /// Total lookback inspection steps summed over all tiles.
   u64 lookbackSteps = 0;
 
-  /// Longest observed lookback depth for a single tile — the protocol's
-  /// critical path contribution.
+  /// Longest observed lookback depth for a single tile (telemetry; the
+  /// model charges the serial depth of one).
   u64 maxLookbackDepth = 0;
 
   /// Spin iterations spent waiting on an unpublished predecessor.

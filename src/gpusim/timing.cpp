@@ -13,12 +13,13 @@ f64 TimingModel::syncSeconds(const SyncStats& sync) const {
       return static_cast<f64>(sync.tiles) * spec_.chainHopNs * 1e-9;
     case SyncMethod::DecoupledLookback: {
       // The chain still exists but overlaps with the work of all resident
-      // blocks; only 1/overlap of it is exposed, plus the measured critical
-      // lookback depth.
+      // blocks; only 1/overlap of it is exposed, plus the critical lookback
+      // depth at its serial value: one hop once there is a predecessor.
+      // The observed depth (sync.maxLookbackDepth) depends on how the host
+      // pool happened to interleave tiles, so it is telemetry only.
       const f64 chain = static_cast<f64>(sync.tiles) * spec_.chainHopNs /
                         std::max(1.0, spec_.lookbackOverlap);
-      const f64 depth =
-          static_cast<f64>(sync.maxLookbackDepth) * spec_.lookbackHopNs;
+      const f64 depth = sync.tiles > 1 ? spec_.lookbackHopNs : 0.0;
       return (chain + depth) * 1e-9;
     }
     case SyncMethod::AtomicAggregate:

@@ -10,14 +10,15 @@
 //   t_issue     = memory_instructions / device_issue_rate
 //   t_compute   = arithmetic_ops / device_op_rate
 //   t_atomics   = atomic_ops / device_atomic_rate       (serializing)
-//   t_sync      = f(method, tiles, lookback depth)      (see below)
+//   t_sync      = f(method, tiles)                      (see below)
 //   kernel      = max(t_bandwidth, t_issue, t_compute) + t_atomics + t_sync
 //                 + launch_overhead
 //
 // Sync term: a plain chained scan serializes one L2 hop per tile; decoupled
 // lookback overlaps the chain with resident-block computation so only
-// tiles/overlap hops plus the measured critical lookback depth remain
-// exposed (paper Fig. 12/13, evaluated in Fig. 17).
+// tiles/overlap hops plus the serial critical lookback depth (one hop)
+// remain exposed (paper Fig. 12/13, evaluated in Fig. 17). Nothing the
+// model charges depends on how the host pool interleaved the tiles.
 #pragma once
 
 #include "gpusim/device_spec.hpp"

@@ -7,6 +7,10 @@
 
 #include "common/types.hpp"
 
+namespace cuszp2 {
+class ThreadPool;
+}
+
 namespace cuszp2::metrics {
 
 struct ErrorStats {
@@ -39,8 +43,17 @@ ErrorStats computeErrorStats(std::span<const T> original,
                              std::span<const T> reconstructed);
 
 /// Value range (max - min) of a field; REL error bounds are relative to it.
+/// The scalar reference: a NaN first element makes the result NaN, any
+/// other NaN is skipped.
 template <FloatingPoint T>
 f64 valueRange(std::span<const T> data);
+
+/// valueRange, bit for bit (NaN, ±inf and ±0 included), as a SIMD min/max
+/// split across `pool` (scalar under CUSZP2_SIMD=scalar). Fields too
+/// small to split, and calls from one of the pool's own workers, run on
+/// the calling thread.
+template <FloatingPoint T>
+f64 pooledValueRange(std::span<const T> data, ThreadPool& pool);
 
 extern template ErrorStats computeErrorStats<f32>(std::span<const f32>,
                                                   std::span<const f32>);
@@ -48,5 +61,7 @@ extern template ErrorStats computeErrorStats<f64>(std::span<const f64>,
                                                   std::span<const f64>);
 extern template f64 valueRange<f32>(std::span<const f32>);
 extern template f64 valueRange<f64>(std::span<const f64>);
+extern template f64 pooledValueRange<f32>(std::span<const f32>, ThreadPool&);
+extern template f64 pooledValueRange<f64>(std::span<const f64>, ThreadPool&);
 
 }  // namespace cuszp2::metrics

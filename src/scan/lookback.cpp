@@ -50,9 +50,9 @@ u64 LookbackState::processTile(u32 tile, u64 aggregate,
   sync.method = gpusim::SyncMethod::DecoupledLookback;
   sync.tiles += 1;
 
-  // Observed lookback depth distribution (the protocol's critical-path
-  // term, paper Fig. 13). Tile 0 records depth 0: it publishes its prefix
-  // without looking back. The handle is resolved once per process; the
+  // Observed lookback depth distribution (paper Fig. 13; telemetry — the
+  // timing model charges the serial depth). Tile 0 records depth 0: it
+  // publishes its prefix without looking back. The handle is resolved once per process; the
   // record itself is a branch when telemetry is off.
   static telemetry::Histogram& depthHist =
       telemetry::registry().histogram("scan.lookback.depth");
@@ -94,12 +94,15 @@ u64 LookbackState::processTile(u32 tile, u64 aggregate,
       std::this_thread::yield();
       packed = state_[look].load(std::memory_order_acquire);
     }
-    mem.noteScalarRead(8, 8, 32);
     window[filled++] = packed;
     if ((packed >> 62) == kFlagPrefix) break;
     if (filled == sizeof(window) / sizeof(window[0])) combineWindow();
   }
   combineWindow();
+  // The modelled traffic is the serial walk's single predecessor read: how
+  // far this tile really looked back depends on the host schedule, so it
+  // is telemetry (the SyncStats below), not modelled cost.
+  mem.noteScalarRead(8, 8, 32);
 
   sync.lookbackSteps += depth;
   sync.maxLookbackDepth = std::max(sync.maxLookbackDepth, depth);

@@ -38,7 +38,9 @@ class LookbackState {
   /// exclusive prefix, publish the inclusive PREFIX, and return the
   /// exclusive prefix. Safe to call concurrently from different tiles as
   /// long as every predecessor tile eventually calls it too (guaranteed by
-  /// the launcher's FIFO dispatch).
+  /// the launcher's in-order block claiming). Records the observed walk
+  /// (steps, depth, spins) in `sync` as telemetry; `mem` is charged the
+  /// serial walk (one predecessor read), independent of the schedule.
   u64 processTile(u32 tile, u64 aggregate, gpusim::SyncStats& sync,
                   gpusim::MemCounters& mem);
 

@@ -184,9 +184,6 @@ struct Job {
   std::vector<std::byte> input;
   std::chrono::steady_clock::time_point submitted;
   std::shared_ptr<Ledger> ledger;
-  /// Global dispatch ordinal, assigned under the scheduler mutex when the
-  /// job leaves its lane (copied into JobResult::dispatchSeq).
-  u64 dispatchSeq = 0;
 
   std::atomic<Phase> phase{Phase::Queued};
   /// Dispatch attempts started (incremented as an execution begins).

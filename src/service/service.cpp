@@ -31,14 +31,14 @@ const char* chaosModeName(ChaosFault::Mode mode) {
 template <FloatingPoint T>
 void decodeInto(core::CompressorStream& stream, ConstByteSpan input,
                 JobResult& result) {
-  core::Decompressed<T> out = stream.decompress<T>(input);
-  result.decodedElements = out.data.size();
-  result.decompressProfile = out.profile;
-  result.decompressed.resize(out.data.size() * sizeof(T));
-  if (!out.data.empty()) {
-    std::memcpy(result.decompressed.data(), out.data.data(),
-                result.decompressed.size());
-  }
+  const u64 n = core::StreamHeader::parse(input).numElements;
+  // The decoder writes straight into the result's bytes (operator new
+  // storage is aligned for T), so the field is written once, not copied.
+  result.decompressed.resize(n * sizeof(T));
+  result.decompressProfile = stream.decompressInto<T>(
+      input, std::span<T>(reinterpret_cast<T*>(result.decompressed.data()),
+                          n));
+  result.decodedElements = n;
 }
 
 template <FloatingPoint T>
@@ -525,6 +525,7 @@ void CompressionService::workerLoop(u32 worker) {
   u64 seenFaultRelaunches = 0;
   for (;;) {
     std::shared_ptr<detail::Job> job;
+    u64 dispatchSeq = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       workCv_.wait(lock, [&] {
@@ -533,9 +534,9 @@ void CompressionService::workerLoop(u32 worker) {
       if (stopping_) return;
       job = lanes_.pop();
       if (job == nullptr) continue;  // only tombstones were queued
-      job->dispatchSeq = ++dispatchSeq_;
+      dispatchSeq = ++dispatchSeq_;
     }
-    execute(job, stream, worker);
+    execute(job, stream, worker, dispatchSeq);
     const u64 detected = stream.faultsDetected();
     const u64 relaunches = stream.faultRelaunches();
     statStreamFaultsDetected_.fetch_add(detected - seenFaultsDetected,
@@ -548,8 +549,8 @@ void CompressionService::workerLoop(u32 worker) {
 }
 
 void CompressionService::execute(const std::shared_ptr<detail::Job>& job,
-                                 core::CompressorStream& stream,
-                                 u32 worker) {
+                                 core::CompressorStream& stream, u32 worker,
+                                 u64 dispatchSeq) {
   const auto dispatched = std::chrono::steady_clock::now();
   job->attempt.fetch_add(1, std::memory_order_relaxed);
   statDispatched_.fetch_add(1, std::memory_order_relaxed);
@@ -614,7 +615,7 @@ void CompressionService::execute(const std::shared_ptr<detail::Job>& job,
   r.tenant = job->tenant;
   r.kind = job->kind;
   r.jobId = job->id;
-  r.dispatchSeq = job->dispatchSeq;
+  r.dispatchSeq = dispatchSeq;
   r.worker = worker;
   r.device = stream.device().name;
   r.waitUs = microsBetween(job->submitted, dispatched);

@@ -383,8 +383,12 @@ class CompressionService {
   bool shutdownImpl(std::optional<std::chrono::milliseconds> deadline);
 
   void workerLoop(u32 worker);
+  /// Runs one dispatch of `job`. `dispatchSeq` is this dispatch's ordinal,
+  /// taken under the scheduler mutex: a watchdog re-dispatch runs the same
+  /// job on a second worker while the first may still be executing, so it
+  /// is passed in rather than stored on the shared job.
   void execute(const std::shared_ptr<detail::Job>& job,
-               core::CompressorStream& stream, u32 worker);
+               core::CompressorStream& stream, u32 worker, u64 dispatchSeq);
   void runDegradedDecode(detail::Job& job, core::CompressorStream& stream,
                          JobResult& result, const std::string& failure);
   void finishJob(detail::Job& job, JobResult result, bool abandoned);

@@ -62,8 +62,7 @@ TEST(FaultInjection, LookbackSpinnersUnwindOnAbort) {
               throw Error("failing block");  // never publishes
             }
             state.processTile(ctx.blockIdx, 1, ctx.sync, ctx.mem);
-          },
-          1),
+          }),
       Error);
 }
 
@@ -253,7 +252,7 @@ TEST(FaultPlan, InjectionIsSeededAndDeterministic) {
     gpusim::Launcher launcher;
     launcher.setFaultPlan(plan);
     const auto result =
-        launcher.launch(4, [](gpusim::BlockCtx&) {}, 0, target);
+        launcher.launch(4, [](gpusim::BlockCtx&) {}, target);
     EXPECT_EQ(result.injectedBitFlips, plan.bitFlips);
     return target;
   };
@@ -277,11 +276,11 @@ TEST(FaultPlan, FiresOnlyOnTriggerLaunch) {
   plan.bitFlips = 4;
   launcher.setFaultPlan(plan);
 
-  auto r = launcher.launch(2, [](gpusim::BlockCtx&) {}, 0, target);
+  auto r = launcher.launch(2, [](gpusim::BlockCtx&) {}, target);
   EXPECT_EQ(r.injectedBitFlips, 0u);  // launch 0: not yet
-  r = launcher.launch(2, [](gpusim::BlockCtx&) {}, 0, target);
+  r = launcher.launch(2, [](gpusim::BlockCtx&) {}, target);
   EXPECT_EQ(r.injectedBitFlips, 4u);  // launch 1: fires
-  r = launcher.launch(2, [](gpusim::BlockCtx&) {}, 0, target);
+  r = launcher.launch(2, [](gpusim::BlockCtx&) {}, target);
   EXPECT_EQ(r.injectedBitFlips, 0u);  // launch 2: non-sticky, disarmed
 }
 

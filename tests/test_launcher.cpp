@@ -1,5 +1,5 @@
 // Unit tests for the gpusim kernel launcher: coverage, counter reduction,
-// task grouping (blocksPerTask), and concurrency behaviour.
+// in-order block claiming, and concurrency behaviour.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -54,19 +54,19 @@ TEST(Launcher, SyncStatsReduceWithMaxDepth) {
   EXPECT_EQ(result.sync.lookbackSteps, 0u + 1 + 2 + 3 + 4 + 5 + 6 + 7);
 }
 
-TEST(Launcher, ExplicitBatchingCoversAllBlocks) {
+// Grids smaller than, equal to and larger than the pool: every block is
+// claimed exactly once whatever the number of claimers.
+TEST(Launcher, EveryGridSizeCoversAllBlocks) {
   Launcher launcher;
-  for (u32 blocksPerTask : {1u, 3u, 7u, 100u, 1000u}) {
-    std::vector<std::atomic<int>> hits(257);
-    launcher.launch(
-        257,
-        [&](BlockCtx& ctx) {
-          hits[ctx.blockIdx].fetch_add(1, std::memory_order_relaxed);
-        },
-        blocksPerTask);
+  const u32 workers = static_cast<u32>(launcher.workerCount());
+  for (u32 grid : {1u, 3u, workers - 1, workers, workers + 1, 257u}) {
+    if (grid == 0) continue;
+    std::vector<std::atomic<int>> hits(grid);
+    launcher.launch(grid, [&](BlockCtx& ctx) {
+      hits[ctx.blockIdx].fetch_add(1, std::memory_order_relaxed);
+    });
     for (usize i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1)
-          << "block " << i << " bpt " << blocksPerTask;
+      ASSERT_EQ(hits[i].load(), 1) << "block " << i << " grid " << grid;
     }
   }
 }
@@ -83,8 +83,8 @@ TEST(Launcher, SharedExternalPool) {
 }
 
 // A block may spin-wait on a lower-indexed block's published value; the
-// FIFO launcher must guarantee progress (this deadlocks if dispatch order
-// or pool fairness is broken).
+// launcher must guarantee progress (this deadlocks if a block can wait on
+// one that no worker has started).
 TEST(Launcher, BackwardDependenciesMakeProgress) {
   Launcher launcher;
   constexpr u32 kBlocks = 200;
@@ -103,8 +103,7 @@ TEST(Launcher, BackwardDependenciesMakeProgress) {
           sum += prev;
         }
         published[ctx.blockIdx].store(sum, std::memory_order_release);
-      },
-      1);
+      });
   EXPECT_EQ(published[kBlocks - 1].load(), kBlocks);
 }
 

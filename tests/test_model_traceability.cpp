@@ -76,10 +76,12 @@ TEST(ModelTraceability, LookbackEquation) {
   SyncStats sync;
   sync.method = SyncMethod::DecoupledLookback;
   sync.tiles = 2600;
-  sync.maxLookbackDepth = 10;
-  // tiles * 45 ns / 2.6 + 10 * 45 ns
-  EXPECT_NEAR(model.syncSeconds(sync), 2600 * 45e-9 / 2.6 + 10 * 45e-9,
+  sync.maxLookbackDepth = 10;  // observed depth: telemetry, not charged
+  // tiles * 45 ns / 2.6 + 1 * 45 ns (the serial depth)
+  EXPECT_NEAR(model.syncSeconds(sync), 2600 * 45e-9 / 2.6 + 1 * 45e-9,
               1e-12);
+  sync.tiles = 1;  // a lone tile has no predecessor to look back at
+  EXPECT_NEAR(model.syncSeconds(sync), 45e-9 / 2.6, 1e-12);
 }
 
 TEST(ModelTraceability, ReduceThenScanEquation) {

@@ -3,11 +3,14 @@
 // stress and parameterized property sweeps.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/timing.hpp"
 #include "scan/chained.hpp"
@@ -63,8 +66,7 @@ TEST_P(ScanProtocolTest, LookbackComputesExclusivePrefixes) {
       [&](gpusim::BlockCtx& ctx) {
         got[ctx.blockIdx] = state.processTile(
             ctx.blockIdx, values[ctx.blockIdx], ctx.sync, ctx.mem);
-      },
-      1);  // one block per task maximizes interleaving
+      });
   EXPECT_EQ(got, expected);
   EXPECT_EQ(result.sync.method, gpusim::SyncMethod::DecoupledLookback);
   EXPECT_EQ(result.sync.tiles, tiles);
@@ -84,8 +86,7 @@ TEST_P(ScanProtocolTest, ChainedScanComputesExclusivePrefixes) {
       [&](gpusim::BlockCtx& ctx) {
         got[ctx.blockIdx] = state.processTile(
             ctx.blockIdx, values[ctx.blockIdx], ctx.sync, ctx.mem);
-      },
-      1);
+      });
   EXPECT_EQ(got, expected);
   EXPECT_EQ(result.sync.method, gpusim::SyncMethod::ChainedScan);
 }
@@ -146,8 +147,7 @@ TEST(Lookback, StatsRecordDepth) {
       tiles,
       [&](gpusim::BlockCtx& ctx) {
         state.processTile(ctx.blockIdx, 1, ctx.sync, ctx.mem);
-      },
-      1);
+      });
   EXPECT_GE(result.sync.lookbackSteps, tiles - 1);  // every tile >= 1 step
   EXPECT_GE(result.sync.maxLookbackDepth, 1u);
   EXPECT_LT(result.sync.maxLookbackDepth, tiles);
@@ -168,9 +168,71 @@ TEST(Lookback, StressManyRounds) {
         [&](gpusim::BlockCtx& ctx) {
           got[ctx.blockIdx] = state.processTile(
               ctx.blockIdx, values[ctx.blockIdx], ctx.sync, ctx.mem);
-        },
-        1);
+        });
     ASSERT_EQ(got, expected) << "seed " << seed;
+  }
+}
+
+// Two host threads drive lookback launches on one shared 4-worker pool at
+// once. One thread's kernel issues a nested lookback launch from a tile
+// (it runs inline on that worker); the other arms a worker-wedge fault, so
+// the worker that claims its tile 0 parks while the rest spin on it. Every
+// prefix of every scan must still be exact, and no launch may deadlock.
+TEST(Lookback, SharedPoolConcurrentLaunchesWithNestedAndWedge) {
+  ThreadPool pool(4);
+  constexpr u32 kTiles = 96;
+  constexpr u32 kNestedTiles = 7;
+  constexpr int kRounds = 4;
+  const auto values = randomValues(kTiles, 77, 1u << 20);
+  std::vector<u64> expected(kTiles);
+  exclusiveScan(values, expected);
+  const auto nestedValues = randomValues(kNestedTiles, 78);
+  std::vector<u64> nestedExpected(kNestedTiles);
+  exclusiveScan(nestedValues, nestedExpected);
+
+  std::atomic<int> nestedMismatches{0};
+  const auto runRounds = [&](gpusim::Launcher& launcher, bool nest,
+                             std::vector<std::vector<u64>>& results) {
+    for (int round = 0; round < kRounds; ++round) {
+      LookbackState state(kTiles);
+      std::vector<u64>& got = results[round];
+      got.assign(kTiles, ~u64{0});
+      launcher.launch(kTiles, [&](gpusim::BlockCtx& ctx) {
+        if (nest && ctx.blockIdx == 5) {
+          LookbackState inner(kNestedTiles);
+          std::vector<u64> innerGot(kNestedTiles);
+          gpusim::Launcher nested(pool);
+          nested.launch(kNestedTiles, [&](gpusim::BlockCtx& innerCtx) {
+            innerGot[innerCtx.blockIdx] = inner.processTile(
+                innerCtx.blockIdx, nestedValues[innerCtx.blockIdx],
+                innerCtx.sync, innerCtx.mem);
+          });
+          if (innerGot != nestedExpected) ++nestedMismatches;
+        }
+        got[ctx.blockIdx] = state.processTile(
+            ctx.blockIdx, values[ctx.blockIdx], ctx.sync, ctx.mem);
+      });
+    }
+  };
+
+  gpusim::Launcher nesting(pool);
+  gpusim::Launcher wedged(pool);
+  gpusim::FaultPlan plan;
+  plan.triggerLaunch = 1;
+  plan.wedgeTicks = 30;
+  wedged.setFaultPlan(plan);
+
+  std::vector<std::vector<u64>> nestingResults(kRounds);
+  std::vector<std::vector<u64>> wedgedResults(kRounds);
+  std::thread a([&] { runRounds(nesting, true, nestingResults); });
+  std::thread b([&] { runRounds(wedged, false, wedgedResults); });
+  a.join();
+  b.join();
+
+  EXPECT_EQ(nestedMismatches.load(), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(nestingResults[round], expected) << "nesting round " << round;
+    EXPECT_EQ(wedgedResults[round], expected) << "wedged round " << round;
   }
 }
 

@@ -512,7 +512,9 @@ TEST(ServiceTest, DecompressRoundTripThroughService) {
       serial.compress<f32>(std::span<const f32>(original));
   const core::Decompressed<f32> expected = serial.decompress<f32>(c.stream);
 
-  service::CompressionService svc(service::ServiceConfig{.workers = 1});
+  service::ServiceConfig scfg;
+  scfg.workers = 1;
+  service::CompressionService svc(scfg);
   service::SubmitResult s = svc.submitDecompress("t", c.stream);
   ASSERT_TRUE(s.accepted());
   const service::JobResult& r = s.ticket.wait();

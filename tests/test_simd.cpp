@@ -21,11 +21,13 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "common/types.hpp"
 #include "core/fle.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "datagen/fields.hpp"
+#include "metrics/error_stats.hpp"
 
 using namespace cuszp2;
 
@@ -77,6 +79,9 @@ TEST(SimdTest, ScalarModeNeverClaimsWork) {
   EXPECT_FALSE(simd::absI32(v, abs.data()));
   EXPECT_FALSE(simd::diffI32(v, res));
   EXPECT_FALSE(simd::prefixSumI32(v, res));
+  f32 lo = 0.0f;
+  f32 hi = 0.0f;
+  EXPECT_FALSE(simd::minMax(std::span<const f32>(f), &lo, &hi));
 }
 
 TEST(SimdTest, QuantizeDiffPrefixMatchesScalarF32) {
@@ -416,3 +421,100 @@ TEST(SimdTest, CompressedStreamsByteIdenticalAcrossModes) {
         << "n=" << n;
   }
 }
+
+namespace {
+
+/// Fields that pin the reference's corner cases: a NaN first element
+/// (the answer is NaN), NaNs elsewhere (skipped), ±inf, all zeros of mixed
+/// sign, equal infinities (inf - inf) and plain data. `n` sets the length;
+/// the special values sit at the start, the end and every chunk seam.
+template <FloatingPoint T>
+std::vector<std::vector<T>> rangeCases(usize n) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  std::vector<std::vector<T>> cases;
+  Rng rng(n);
+  std::vector<T> plain(n);
+  for (T& v : plain) {
+    v = static_cast<T>(static_cast<f64>(rng.next() % 20001) - 10000.0) /
+        T{7};
+  }
+  cases.push_back(plain);
+  std::vector<T> nanFirst = plain;
+  nanFirst[0] = nan;
+  cases.push_back(nanFirst);
+  std::vector<T> nanPayload = plain;
+  nanPayload[0] = -std::numeric_limits<T>::signaling_NaN();
+  cases.push_back(nanPayload);
+  std::vector<T> nanElsewhere = plain;
+  for (usize i = 1; i < n; i += 1 + n / 5) nanElsewhere[i] = nan;
+  nanElsewhere[n - 1] = nan;
+  cases.push_back(nanElsewhere);
+  std::vector<T> nanDense = plain;
+  for (usize i = 1; i < n; i += 3) nanDense[i] = nan;
+  cases.push_back(nanDense);
+  std::vector<T> infs = plain;
+  infs[n / 2] = inf;
+  infs[n - 1] = -inf;
+  cases.push_back(infs);
+  cases.push_back(std::vector<T>(n, inf));
+  cases.push_back(std::vector<T>(n, -inf));
+  std::vector<T> zeros(n);
+  for (usize i = 0; i < n; ++i) zeros[i] = (i * 7919) % 3 == 0 ? T{-0.0} : T{0};
+  cases.push_back(zeros);
+  std::vector<T> negZeroFirst = zeros;
+  negZeroFirst[0] = T{-0.0};
+  cases.push_back(negZeroFirst);
+  std::vector<T> posZeroFirst = zeros;
+  posZeroFirst[0] = T{0};
+  if (n > 1) posZeroFirst[n - 1] = T{-0.0};
+  cases.push_back(posZeroFirst);
+  std::vector<T> zerosAndNan = zeros;
+  zerosAndNan[n / 2] = nan;
+  cases.push_back(zerosAndNan);
+  std::vector<T> negOnly(n);
+  for (usize i = 0; i < n; ++i) negOnly[i] = -static_cast<T>(i % 13) - T{1};
+  negOnly[n - 1] = T{-0.0};
+  cases.push_back(negOnly);
+  return cases;
+}
+
+template <FloatingPoint T>
+void expectPooledRangeMatches(ThreadPool& pool) {
+  // Short fields (one chunk, every SIMD tail residue) and fields long
+  // enough to split across all four workers, with ragged tails.
+  const usize lengths[] = {1,  2,  3,  7,  8,  9,  15, 16, 17, 31, 33,
+                           100, 4 * 32768 + 13, 4 * 32768 + 31};
+  for (const usize n : lengths) {
+    const auto cases = rangeCases<T>(n);
+    for (usize c = 0; c < cases.size(); ++c) {
+      const std::span<const T> data(cases[c]);
+      const f64 want = metrics::valueRange<T>(data);
+      const f64 got = metrics::pooledValueRange<T>(data, pool);
+      EXPECT_EQ(std::bit_cast<u64>(got), std::bit_cast<u64>(want))
+          << "n=" << n << " case=" << c << " want=" << want
+          << " got=" << got << " mode=" << simd::modeName();
+    }
+  }
+}
+
+}  // namespace
+
+// The REL range pass the writers run (a SIMD min/max split across the
+// stream's pool) must return metrics::valueRange's bits exactly, in both
+// dispatch modes, from outside the pool and from one of its workers
+// (where it runs inline).
+TEST(SimdTest, PooledValueRangeMatchesReferenceBitForBit) {
+  ModeGuard guard;
+  ThreadPool pool(4);
+  for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+    simd::setMode(mode);
+    expectPooledRangeMatches<f32>(pool);
+    expectPooledRangeMatches<f64>(pool);
+    pool.run(1, [&](usize) {
+      expectPooledRangeMatches<f32>(pool);
+      expectPooledRangeMatches<f64>(pool);
+    });
+  }
+}
+

@@ -1,6 +1,11 @@
 // Unit tests for the analytic timing model and device presets.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/thread_pool.hpp"
+#include "core/stream.hpp"
+#include "datagen/fields.hpp"
 #include "gpusim/device_spec.hpp"
 #include "gpusim/timing.hpp"
 
@@ -119,6 +124,50 @@ TEST(Timing, MemThroughputIncludesAllBytes) {
 TEST(Timing, GbpsHelper) {
   EXPECT_DOUBLE_EQ(gbps(1'000'000'000, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(gbps(1'000'000'000, 0.0), 0.0);
+}
+
+void expectSameTiming(const KernelTiming& a, const KernelTiming& b,
+                      const char* what) {
+  EXPECT_EQ(a.bandwidthSeconds, b.bandwidthSeconds) << what;
+  EXPECT_EQ(a.issueSeconds, b.issueSeconds) << what;
+  EXPECT_EQ(a.computeSeconds, b.computeSeconds) << what;
+  EXPECT_EQ(a.atomicSeconds, b.atomicSeconds) << what;
+  EXPECT_EQ(a.memsetSeconds, b.memsetSeconds) << what;
+  EXPECT_EQ(a.syncSeconds, b.syncSeconds) << what;
+  EXPECT_EQ(a.launchSeconds, b.launchSeconds) << what;
+  EXPECT_EQ(a.totalSeconds, b.totalSeconds) << what;
+  EXPECT_EQ(a.memThroughputGBps, b.memThroughputGBps) << what;
+}
+
+// The modelled kernel must not depend on how the host pool interleaved
+// the tiles: the same lookback compress and decompress on a 1-worker pool
+// (tiles in serial order) and a 4-worker pool (tiles racing) give the same
+// KernelTiming, field by field. Several 4-worker rounds vary the races.
+TEST(Timing, KernelTimingIndependentOfWorkerCount) {
+  const std::vector<f32> data = datagen::generateF32("cesm_atm", 0, 1 << 18);
+  core::Config cfg;
+  cfg.relErrorBound = 1e-3;
+  const TimingModel model(a100_40gb());
+  struct Run {
+    KernelTiming compress;
+    KernelTiming decompress;
+  };
+  const auto run = [&](ThreadPool& pool) {
+    core::CompressorStream stream(cfg, a100_40gb(), pool);
+    const core::Compressed c = stream.compress<f32>(data);
+    const core::Decompressed<f32> d = stream.decompress<f32>(c.stream);
+    EXPECT_GT(c.profile.sync.tiles, 1u);
+    return Run{model.kernel(c.profile.mem, c.profile.sync),
+               model.kernel(d.profile.mem, d.profile.sync)};
+  };
+  ThreadPool serialPool(1);
+  ThreadPool racingPool(4);
+  const Run serial = run(serialPool);
+  for (int round = 0; round < 3; ++round) {
+    const Run racing = run(racingPool);
+    expectSameTiming(serial.compress, racing.compress, "compress");
+    expectSameTiming(serial.decompress, racing.decompress, "decompress");
+  }
 }
 
 }  // namespace

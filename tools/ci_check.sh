@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification, twice:
+# Tier-1 verification, three times:
 #   1. Release         — the configuration the figures and perf numbers use.
 #      Runs the full suite (fast + property + bench + cas + durability
 #      labels), then the
@@ -9,11 +9,15 @@
 #      reuse paths that a Release run would silently survive. Restricted
 #      to the fast label: the property sweeps re-run identical codec
 #      paths and would dominate sanitizer wall time.
+#   3. RelWithDebInfo + ThreadSanitizer — the launcher's tiles race for
+#      real (one claim counter per launch, lookback spins across
+#      workers), so the fast label, the scan protocols and the
+#      service/cluster/CAS/crash drills run under TSan too.
 #
 # Usage: tools/ci_check.sh [jobs]
-# Build trees land in build-ci-release/, build-ci-asan/ and
-# build-ci-perfbench/ under the repo root so the default build/ directory
-# is left untouched.
+# Build trees land in build-ci-release/, build-ci-asan/, build-ci-tsan/
+# and build-ci-perfbench/ under the repo root so the default build/
+# directory is left untouched.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -177,6 +181,20 @@ echo "==== [release] crash drill (seed 4242) ===="
 "${repo_root}/build-ci-release/tools/crash_drill" --seed 4242
 echo "==== [asan] crash drill (seed 20260809, fast) ===="
 "${repo_root}/build-ci-asan/tools/crash_drill" --seed 20260809 --fast
+
+# ThreadSanitizer leg. Scalar SIMD like the ASan leg: TSan reasons about
+# the memory accesses, which the vector and scalar paths make alike.
+CUSZP2_SIMD=scalar \
+  run_config tsan "-L fast" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCUSZP2_SANITIZE=thread
+echo "==== [tsan] test_scan (lookback / chained-scan protocols) ===="
+"${repo_root}/build-ci-tsan/tests/test_scan"
+echo "==== [tsan] cluster soak (seed 20260805, fast) ===="
+"${repo_root}/build-ci-tsan/tools/chaos_soak" --cluster --seed 20260805 --fast
+echo "==== [tsan] cas soak (seed 20260805, fast) ===="
+"${repo_root}/build-ci-tsan/tools/chaos_soak" --cas --seed 20260805 --fast
+echo "==== [tsan] crash drill (seed 20260809, fast) ===="
+"${repo_root}/build-ci-tsan/tools/crash_drill" --seed 20260809 --fast
 
 # The repo benchmark's statistics (perfbench/stats.py: quartiles,
 # pair wins, backlog and spread rules) have their own unit tests.
